@@ -1,5 +1,5 @@
 /// Google-benchmark micro-benchmarks for the library's primitives:
-/// quadrature rules, kd-tree / kNN / k-means, the SIMT cache + coalescer,
+/// quadrature rules, kd-tree / kNN / k-means, the SIMT cache + warp recorder,
 /// the space–time stencil and PIC deposition.
 
 #include <benchmark/benchmark.h>
@@ -17,7 +17,7 @@
 #include "quad/adaptive.hpp"
 #include "quad/simpson.hpp"
 #include "simt/cache.hpp"
-#include "simt/coalescer.hpp"
+#include "simt/warp.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -105,16 +105,29 @@ void BM_CacheAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheAccess);
 
-void BM_Coalesce(benchmark::State& state) {
-  std::vector<simt::LaneAccess> accesses;
-  for (int i = 0; i < 32; ++i) {
-    accesses.push_back({static_cast<std::uint64_t>(i) * 24, 24});
-  }
+void BM_WarpRecorder(benchmark::State& state) {
+  // One full warp issuing 64 strided 24 B loads per lane: record, then
+  // coalesce into the CSR line stream.
+  const simt::DeviceSpec spec = simt::tesla_k40();
+  constexpr std::uint32_t kSite = simt::site_id("bench/recorder");
+  simt::WarpRecorder recorder;
+  simt::LineStreams lines;
+  simt::KernelMetrics metrics;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(simt::coalesce(accesses, 128));
+    lines.clear();
+    recorder.begin_warp(spec);
+    for (std::uint64_t lane = 0; lane < spec.warp_size; ++lane) {
+      recorder.begin_lane();
+      for (std::uint64_t i = 0; i < 64; ++i) {
+        recorder.record_load(kSite, 0x10000 + i * 1024 + lane * 24, 24);
+      }
+    }
+    recorder.end_warp(metrics, lines);
+    benchmark::DoNotOptimize(lines.lines().data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_Coalesce);
+BENCHMARK(BM_WarpRecorder);
 
 void BM_StencilSample(benchmark::State& state) {
   const beam::GridSpec spec = beam::make_centered_grid(128, 128, 6.0, 6.0);

@@ -136,11 +136,11 @@ struct ReplayWorkload {
       streams[sm].reserve(warps_per_sm);
       for (std::size_t w = 0; w < warps_per_sm; ++w) {
         simt::WarpReplay replay;
-        replay.instructions.reserve(instructions_per_warp);
+        std::vector<std::uint64_t> lines;
         // Each warp sweeps its own window; every 4th instruction scatters.
         const std::uint64_t base = (sm * warps_per_sm + w) * 512 * line;
         for (std::size_t i = 0; i < instructions_per_warp; ++i) {
-          std::vector<std::uint64_t> lines;
+          lines.clear();
           if (i % 4 == 3) {
             for (int k = 0; k < 8; ++k) {
               lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
@@ -151,7 +151,7 @@ struct ReplayWorkload {
               lines.push_back(base + (i * 4 + k) * line);
             }
           }
-          replay.instructions.push_back(std::move(lines));
+          replay.instructions.push_back(lines);
         }
         streams[sm].push_back(std::move(replay));
       }
@@ -172,10 +172,7 @@ simt::KernelMetrics replay_once(const ReplayWorkload& work) {
   util::parallel_for(0, spec.num_sms, [&](std::size_t sm) {
     SmShard& shard = shards[sm];
     simt::SetAssocCache l1(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways);
-    // replay_interleaved_l1 only reads the streams; reuse across runs.
-    auto& replays =
-        const_cast<std::vector<simt::WarpReplay>&>(work.streams[sm]);
-    simt::replay_interleaved_l1(replays, spec, l1, shard.partial,
+    simt::replay_interleaved_l1(work.streams[sm], spec, l1, shard.partial,
                                 shard.l2_misses);
   });
   simt::KernelMetrics metrics;

@@ -1,5 +1,6 @@
 #include "simt/cache.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "util/check.hpp"
@@ -19,38 +20,37 @@ SetAssocCache::SetAssocCache(std::uint32_t capacity_bytes,
   // Round sets down to a power of two for cheap indexing.
   num_sets_ = std::bit_floor(num_sets_);
   BD_CHECK(num_sets_ >= 1);
-  ways_storage_.assign(static_cast<std::size_t>(num_sets_) * ways_, Way{});
+  tags_.assign(static_cast<std::size_t>(num_sets_) * ways_, 0);
+  fill_.assign(num_sets_, 0);
 }
 
 bool SetAssocCache::access(std::uint64_t addr) {
   const std::uint64_t line = addr >> line_shift_;
-  const std::uint64_t set = line & (num_sets_ - 1);
-  Way* set_begin = &ways_storage_[static_cast<std::size_t>(set) * ways_];
-  ++tick_;
+  const std::size_t set = static_cast<std::size_t>(line & (num_sets_ - 1));
+  std::uint64_t* tags = &tags_[set * ways_];
+  const std::uint32_t fill = fill_[set];
 
-  Way* victim = set_begin;
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    Way& way = set_begin[w];
-    if (way.valid && way.tag == line) {
-      way.lru = tick_;
+  // Scan from the most recent line, shifting each one back a slot: a hit
+  // at w leaves the line in front of the w lines that were newer; a miss
+  // shifts the whole set and drops the least recent line when full.
+  std::uint64_t carry = line;
+  for (std::uint32_t w = 0; w < fill; ++w) {
+    const std::uint64_t held = tags[w];
+    tags[w] = carry;
+    if (held == line) {
       ++stats_.hits;
       return true;
     }
-    if (!way.valid) {
-      victim = &way;  // prefer an invalid way
-    } else if (victim->valid && way.lru < victim->lru) {
-      victim = &way;
-    }
+    carry = held;
   }
-  victim->tag = line;
-  victim->valid = true;
-  victim->lru = tick_;
+  if (fill < ways_) {
+    tags[fill] = carry;
+    fill_[set] = fill + 1;
+  }
   ++stats_.misses;
   return false;
 }
 
-void SetAssocCache::flush() {
-  for (auto& way : ways_storage_) way = Way{};
-}
+void SetAssocCache::flush() { std::fill(fill_.begin(), fill_.end(), 0u); }
 
 }  // namespace bd::simt

@@ -27,6 +27,15 @@ struct CacheStats {
 
 /// Classic set-associative cache with true-LRU replacement.
 /// Capacity, line size and associativity are fixed at construction.
+///
+/// Way placement is unobservable: under true LRU a set's contents after any
+/// access sequence are its `ways` most recently used distinct lines, no
+/// matter which physical way holds which line, so the hit/miss sequence of
+/// every access stream is fixed by the stream alone. The storage exploits
+/// that: one flat tag array keeps each set's lines in recency order, most
+/// recent first, so the order itself is the LRU state and no way carries a
+/// timestamp or a valid bit (tests/test_cache.cpp compares it with a naive
+/// reference).
 class SetAssocCache {
  public:
   /// \param capacity_bytes total size; must be a multiple of line*ways.
@@ -39,7 +48,7 @@ class SetAssocCache {
   /// with LRU eviction.
   bool access(std::uint64_t addr);
 
-  /// Invalidate all lines and (optionally) keep statistics.
+  /// Invalidate all lines; statistics are kept.
   void flush();
 
   const CacheStats& stats() const { return stats_; }
@@ -50,18 +59,14 @@ class SetAssocCache {
   std::uint32_t ways() const { return ways_; }
 
  private:
-  struct Way {
-    std::uint64_t tag = ~0ull;
-    std::uint64_t lru = 0;  // larger = more recently used
-    bool valid = false;
-  };
-
   std::uint32_t line_bytes_;
   std::uint32_t line_shift_;
   std::uint32_t num_sets_;
   std::uint32_t ways_;
-  std::uint64_t tick_ = 0;
-  std::vector<Way> ways_storage_;  // num_sets_ * ways_
+  // Set s owns tags_[s * ways_, (s + 1) * ways_), most recently used
+  // first; only the first fill_[s] entries hold lines.
+  std::vector<std::uint64_t> tags_;
+  std::vector<std::uint32_t> fill_;
   CacheStats stats_;
 };
 

@@ -1,8 +1,8 @@
 #include "simt/executor.hpp"
 
+#include <span>
 #include <vector>
 
-#include "simt/trace.hpp"
 #include "simt/warp.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
@@ -18,7 +18,8 @@ namespace {
 /// parallel pass; only the cache state is global and stays serial.
 struct BlockOutput {
   KernelMetrics analysis;
-  std::vector<WarpReplay> replays;  // one per warp, warp-major order
+  LineStreams streams;                 ///< every warp's instructions
+  std::vector<std::uint32_t> warp_end; ///< per warp: end in `streams`
 };
 
 }  // namespace
@@ -46,38 +47,48 @@ KernelMetrics launch(const DeviceSpec& spec, const LaunchConfig& config,
   const std::uint32_t resident = std::max<std::uint32_t>(
       1, spec.resident_warps_per_sm / warps_per_block);
 
-  // --- Pass 1 (parallel): execute lanes, analyze warps -------------------
+  // Block outputs come from a pool owned by the launching thread and
+  // reused across its launches, so their stream buffers stop allocating
+  // after warm-up. launch() never runs nested on one thread: kernel lanes
+  // do not launch kernels.
+  thread_local std::vector<BlockOutput> block_pool;
+  if (block_pool.size() < config.num_blocks) {
+    block_pool.resize(config.num_blocks);
+  }
+  const std::span<BlockOutput> blocks(block_pool.data(), config.num_blocks);
+
+  // --- Pass 1 (parallel): execute lanes, align them into warps ----------
   // One task per block. Lanes within a block run serially in lane order on
   // one thread; lanes from different blocks may run concurrently (the
-  // contract kernels must obey, see executor.hpp). Each task owns its lane
-  // traces and accumulates divergence/coalescing counters into a private
-  // KernelMetrics, so pass 1 shares no mutable state between tasks.
-  std::vector<BlockOutput> blocks(config.num_blocks);
+  // contract kernels must obey, see executor.hpp). Each lane runs straight
+  // into the worker's WarpRecorder, which aligns it with the warp's
+  // earlier lanes as it goes; the task accumulates divergence/coalescing
+  // counters into a private KernelMetrics, so pass 1 shares no mutable
+  // state between tasks.
   telemetry::TraceSession& session = telemetry::current_trace();
   const double lane_pass_start = session.enabled() ? session.now_us() : 0.0;
   util::parallel_for(0, config.num_blocks, [&](std::size_t b) {
     BlockOutput& out = blocks[b];
+    out.analysis = KernelMetrics{};
+    out.streams.clear();
+    out.warp_end.clear();
     const auto block = static_cast<std::uint32_t>(b);
-    std::vector<LaneTrace> traces(spec.warp_size);
-    out.replays.reserve(warps_per_block);
+    WarpRecorder& recorder = worker_recorder();
     for (std::uint32_t warp = 0; warp < warps_per_block; ++warp) {
       const std::uint32_t lane_begin = warp * spec.warp_size;
       const std::uint32_t lane_end = std::min(
           lane_begin + spec.warp_size, config.threads_per_block);
-      std::vector<const LaneTrace*> warp_traces;
-      warp_traces.reserve(lane_end - lane_begin);
+      recorder.begin_warp(spec);
       for (std::uint32_t t = lane_begin; t < lane_end; ++t) {
-        LaneTrace& trace = traces[t - lane_begin];
-        trace.reset();
+        recorder.begin_lane();
         ThreadCtx ctx;
         ctx.block_id = block;
         ctx.thread_id = t;
         ctx.global_id = block * config.threads_per_block + t;
-        kernel(ctx, trace);
-        warp_traces.push_back(&trace);
+        kernel(ctx, recorder);
       }
-      out.replays.push_back(
-          analyze_warp_groups(warp_traces, spec, out.analysis));
+      recorder.end_warp(out.analysis, out.streams);
+      out.warp_end.push_back(static_cast<std::uint32_t>(out.streams.size()));
     }
   });
   if (session.enabled()) {
@@ -116,23 +127,24 @@ KernelMetrics launch(const DeviceSpec& spec, const LaunchConfig& config,
          block += spec.num_sms) {
       my_blocks.push_back(block);
     }
+    std::vector<WarpStream> warps;
     for (std::size_t chunk = 0; chunk < my_blocks.size();
          chunk += resident) {
       const std::size_t chunk_end =
           std::min(my_blocks.size(), chunk + resident);
-      std::vector<WarpReplay> replays;
-      replays.reserve((chunk_end - chunk) * warps_per_block);
+      warps.clear();
       for (std::size_t bi = chunk; bi < chunk_end; ++bi) {
-        BlockOutput& out = blocks[my_blocks[bi]];
+        const BlockOutput& out = blocks[my_blocks[bi]];
         shard.partial += out.analysis;
-        for (WarpReplay& replay : out.replays) {
-          replays.push_back(std::move(replay));
+        std::uint32_t begin = 0;
+        for (const std::uint32_t end : out.warp_end) {
+          warps.push_back(WarpStream{out.streams.offsets().data() + begin,
+                                     out.streams.lines().data(),
+                                     end - begin});
+          begin = end;
         }
-        out.replays.clear();
-        out.replays.shrink_to_fit();  // free trace memory as we go
       }
-      replay_interleaved_l1(replays, spec, l1, shard.partial,
-                            shard.l2_misses);
+      replay_streams_l1(warps, l1, shard.partial, shard.l2_misses);
     }
   });
 

@@ -1,18 +1,23 @@
 #pragma once
 /// \file executor.hpp
 /// SIMT executor: runs a per-thread kernel function over a (blocks × threads)
-/// launch grid on the host while modeling GPU execution. Each lane records a
-/// trace; warps are analyzed for divergence and their memory traffic is
-/// replayed through per-SM L1 caches and the shared L2. Blocks are assigned
-/// to SMs round-robin, matching the hardware's greedy block scheduler
-/// closely enough for aggregate cache statistics.
+/// launch grid on the host while modeling GPU execution. The lanes of each
+/// warp are aligned into warp instructions as they run; warps are analyzed
+/// for divergence and their memory traffic is replayed through per-SM L1
+/// caches and the shared L2. Blocks are assigned to SMs round-robin,
+/// matching the hardware's greedy block scheduler closely enough for
+/// aggregate cache statistics.
 ///
 /// Execution is a two-pass pipeline:
 ///
-///  1. *Lane execution* (parallel): kernel lambdas run and warps are
-///     analyzed for divergence/coalescing block by block on the process
-///     thread pool (util/parallel.hpp, BD_NUM_THREADS). This is where all
-///     the quadrature time goes.
+///  1. *Lane execution* (parallel): blocks run on the process thread pool
+///     (util/parallel.hpp, BD_NUM_THREADS). Each worker hands its
+///     WarpRecorder (simt/warp.hpp) to the lanes of a warp in turn; the
+///     recorder groups every load, loop and branch with the same
+///     (site, occurrence) of the warp's earlier lanes as it arrives, so no
+///     per-lane trace is kept. At warp end it emits the divergence and
+///     coalescing counters and the warp's coalesced lines as a CSR stream
+///     in the block's output. This is where all the quadrature time goes.
 ///  2. *Cache replay* (sharded): per-SM L1 state is independent, so each
 ///     SM's warps replay through its private L1 in parallel on the pool,
 ///     recording L1-miss lines in replay order; a serial SM-major merge

@@ -47,7 +47,7 @@ class LaneProbe {
   /// Record `count` same-width loads issued from static site `site`, in
   /// program order. Semantically identical to `count` sequential load()
   /// calls — the default implementation is exactly that loop — but probes
-  /// that buffer events (LaneTrace) override it with a bulk append, so
+  /// that record events (LaneTrace, WarpRecorder) override it, so
   /// batched evaluation paths pay one virtual dispatch per sample block
   /// instead of one per row.
   virtual void load_run(std::uint32_t site, const void* const* addrs,

@@ -1,7 +1,9 @@
 #pragma once
 /// \file trace.hpp
-/// LaneTrace — a LaneProbe that records the full per-lane event stream so
-/// the warp analyzer can reconstruct lockstep execution afterwards.
+/// LaneTrace — a LaneProbe that records the full per-lane event stream, for
+/// tests and tools that inspect or stage lanes; analyze_warp_groups aligns
+/// recorded traces afterwards. simt::launch keeps no per-lane trace: its
+/// lanes run straight into a WarpRecorder (simt/warp.hpp).
 
 #include <cstdint>
 #include <vector>

@@ -1,161 +1,220 @@
 #include "simt/warp.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <bit>
+#include <limits>
 
-#include "simt/coalescer.hpp"
 #include "util/check.hpp"
 
 namespace bd::simt {
 
-namespace {
+// ---- LineStreams -----------------------------------------------------------
 
-/// Key identifying one warp-level instruction: the n-th occurrence of a
-/// static site across a lane's program order.
-struct SiteOcc {
-  std::uint32_t site;
-  std::uint32_t occ;
-  bool operator==(const SiteOcc&) const = default;
-};
+void LineStreams::push_back(std::span<const std::uint64_t> lines) {
+  if (offsets_.empty()) offsets_.push_back(0);
+  lines_.insert(lines_.end(), lines.begin(), lines.end());
+  BD_CHECK_MSG(lines_.size() <= std::numeric_limits<std::uint32_t>::max(),
+               "line stream exceeds 32-bit offsets");
+  offsets_.push_back(static_cast<std::uint32_t>(lines_.size()));
+}
 
-struct SiteOccHash {
-  std::size_t operator()(const SiteOcc& k) const {
-    return (static_cast<std::size_t>(k.site) << 32) ^ k.occ;
+void LineStreams::clear() {
+  offsets_.clear();
+  lines_.clear();
+}
+
+// ---- WarpRecorder ----------------------------------------------------------
+
+WarpRecorder::Site& WarpRecorder::SiteTable::find_slow(std::uint32_t id) {
+  for (std::size_t i = 0; i < live; ++i) {
+    if (sites[i].id == id) {
+      last = i;
+      return sites[i];
+    }
   }
-};
+  if (live == sites.size()) sites.emplace_back();
+  Site& site = sites[live];
+  site.id = id;
+  site.lane_occ = 0;
+  site.group.clear();
+  last = live++;
+  return site;
+}
 
-/// A warp-level load instruction being assembled from lane events.
-struct LoadGroup {
-  std::uint64_t order = 0;  // first-appearance program position
-  std::vector<LaneAccess> accesses;
-};
+void WarpRecorder::begin_warp(const DeviceSpec& spec) {
+  BD_CHECK_MSG(std::has_single_bit(spec.l1_line_bytes),
+               "line size must be a power of two");
+  warp_size_ = spec.warp_size;
+  line_bytes_ = spec.l1_line_bytes;
+  line_mask_ = ~static_cast<std::uint64_t>(line_bytes_ - 1);
+  lanes_ = 0;
+  load_sites_.reset_warp();
+  loop_sites_.reset_warp();
+  branch_sites_.reset_warp();
+  load_groups_.clear();
+  loop_max_trips_.clear();
+  branch_outcomes_.clear();
+  events_.clear();
+  flops_ = load_events_ = load_bytes_ = loop_trips_ = branch_events_ = 0;
+}
 
-/// A warp-level branch instruction.
-struct BranchGroup {
-  std::uint32_t taken = 0;
-  std::uint32_t not_taken = 0;
-};
+void WarpRecorder::begin_lane() {
+  ++lanes_;
+  load_sites_.reset_lane();
+  loop_sites_.reset_lane();
+  branch_sites_.reset_lane();
+}
 
-/// A warp-level counted loop.
-struct LoopGroup {
-  std::uint64_t max_trips = 0;
-  std::uint64_t sum_trips = 0;
-  std::uint32_t lanes = 0;
-};
+void WarpRecorder::load_run(std::uint32_t site, const void* const* addrs,
+                            std::uint32_t bytes, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    record_load(site, reinterpret_cast<std::uint64_t>(addrs[i]), bytes);
+  }
+}
 
-}  // namespace
+void WarpRecorder::loop_trip(std::uint32_t site, std::uint64_t trips) {
+  const std::uint32_t g =
+      loop_sites_.find(site).next_slot(loop_max_trips_.size());
+  if (g == loop_max_trips_.size()) loop_max_trips_.push_back(0);
+  loop_max_trips_[g] = std::max(loop_max_trips_[g], trips);
+  loop_trips_ += trips;
+}
+
+void WarpRecorder::branch(std::uint32_t site, bool taken) {
+  const std::uint32_t g =
+      branch_sites_.find(site).next_slot(branch_outcomes_.size());
+  if (g == branch_outcomes_.size()) branch_outcomes_.push_back(0);
+  branch_outcomes_[g] |= taken ? 1u : 2u;
+  ++branch_events_;
+}
+
+void WarpRecorder::end_warp(KernelMetrics& out, LineStreams& streams) {
+  BD_CHECK_MSG(lanes_ > 0 && lanes_ <= warp_size_,
+               "warp must hold 1..warp_size lanes");
+  out.warp_size = warp_size_;
+
+  // ---- loads: one instruction per group ----------------------------------
+  // Groups are numbered in creation order: lane-major, then each lane's
+  // program order. That is the order of (first lane << 32 | position in
+  // that lane), the position where the warp issues the instruction, so the
+  // groups are already in program order and the caches downstream see the
+  // same access sequence as a sort by that key would give.
+  const std::size_t groups = load_groups_.size();
+
+  // Counting sort of the line events by group into the sort buffer.
+  cursor_.resize(groups);
+  std::size_t total = 0;
+  for (std::size_t g = 0; g < groups; ++g) {
+    cursor_[g] = static_cast<std::uint32_t>(total);
+    total += load_groups_[g].lines;
+  }
+  if (sorted_.size() < total) sorted_.resize(total);
+  for (const LineEvent& e : events_) sorted_[cursor_[e.group]++] = e.line;
+
+  // Per group: sort + unique (the coalesced transactions), compacted left,
+  // then appended to the CSR stream in one copy.
+  std::vector<std::uint64_t>& lines = streams.lines_;
+  std::vector<std::uint32_t>& offsets = streams.offsets_;
+  const std::size_t base = lines.size();
+  BD_CHECK_MSG(base + total <= std::numeric_limits<std::uint32_t>::max(),
+               "line stream exceeds 32-bit offsets");
+  if (offsets.empty()) offsets.push_back(static_cast<std::uint32_t>(base));
+  std::size_t read = 0, write = 0;
+  for (std::size_t g = 0; g < groups; ++g) {
+    const auto first = sorted_.begin() + static_cast<std::ptrdiff_t>(read);
+    const auto end = first + load_groups_[g].lines;
+    std::sort(first, end);
+    const auto unique_end = std::unique(first, end);
+    if (write != read) {
+      std::copy(first, unique_end,
+                sorted_.begin() + static_cast<std::ptrdiff_t>(write));
+    }
+    read += load_groups_[g].lines;
+    write += static_cast<std::size_t>(unique_end - first);
+    offsets.push_back(static_cast<std::uint32_t>(base + write));
+  }
+  lines.insert(lines.end(), sorted_.begin(),
+               sorted_.begin() + static_cast<std::ptrdiff_t>(write));
+  const std::uint64_t transactions = write;
+
+  out.load_instructions += groups;
+  out.warp_instructions += groups;
+  out.active_lane_slots += load_events_;
+  out.lane_slots += groups * warp_size_;
+  out.bytes_requested += load_bytes_;
+  out.bytes_transferred += transactions * line_bytes_;
+  out.l1_transactions += transactions;
+
+  // ---- loops: divergence from trip-count spread --------------------------
+  // The warp executes max_trips iterations; a lane is active only for its
+  // own trip count. One issue slot per iteration models the body.
+  for (const std::uint64_t max_trips : loop_max_trips_) {
+    out.warp_instructions += max_trips;
+    out.lane_slots += max_trips * warp_size_;
+  }
+  out.active_lane_slots += loop_trips_;
+
+  // ---- branches ------------------------------------------------------------
+  const std::size_t branches = branch_outcomes_.size();
+  out.branch_events += branches;
+  out.warp_instructions += branches;
+  out.lane_slots += branches * warp_size_;
+  out.active_lane_slots += branch_events_;
+  for (const std::uint8_t outcome : branch_outcomes_) {
+    if (outcome == 3) ++out.divergent_branches;
+  }
+
+  out.flops += flops_;
+}
+
+WarpRecorder& worker_recorder() {
+  thread_local WarpRecorder recorder;
+  return recorder;
+}
+
+// ---- LaneTrace adapter -----------------------------------------------------
 
 WarpReplay analyze_warp_groups(const std::vector<const LaneTrace*>& traces,
                                const DeviceSpec& spec, KernelMetrics& out) {
   BD_CHECK_MSG(!traces.empty() && traces.size() <= spec.warp_size,
                "warp must hold 1..warp_size lanes");
-  const std::uint32_t warp_size = spec.warp_size;
-  out.warp_size = warp_size;
-
-  // ---- group loads by (site, occurrence) ---------------------------------
-  std::unordered_map<SiteOcc, LoadGroup, SiteOccHash> load_groups;
-  std::unordered_map<std::uint32_t, std::uint32_t> occ_counter;
-  std::uint64_t order = 0;
+  WarpRecorder& recorder = worker_recorder();
+  recorder.begin_warp(spec);
   for (const LaneTrace* lane : traces) {
-    occ_counter.clear();
-    std::uint64_t lane_pos = 0;
+    recorder.begin_lane();
     for (const LoadEvent& ev : lane->loads()) {
-      const std::uint32_t occ = occ_counter[ev.site]++;
-      LoadGroup& group = load_groups[SiteOcc{ev.site, occ}];
-      if (group.accesses.empty()) group.order = (order << 32) | lane_pos;
-      group.accesses.push_back(LaneAccess{ev.addr, ev.bytes});
-      ++lane_pos;
+      recorder.record_load(ev.site, ev.addr, ev.bytes);
     }
-    ++order;
-  }
-
-  // Program order: order of first appearance in the first lane that
-  // executed the instruction.
-  std::vector<const LoadGroup*> ordered;
-  ordered.reserve(load_groups.size());
-  for (const auto& [key, group] : load_groups) ordered.push_back(&group);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const LoadGroup* a, const LoadGroup* b) {
-              return a->order < b->order;
-            });
-
-  WarpReplay replay;
-  replay.instructions.reserve(ordered.size());
-  for (const LoadGroup* group : ordered) {
-    CoalesceResult res = coalesce(group->accesses, spec.l1_line_bytes);
-    out.load_instructions += 1;
-    out.warp_instructions += 1;
-    out.active_lane_slots += group->accesses.size();
-    out.lane_slots += warp_size;
-    out.bytes_requested += res.bytes_requested;
-    out.bytes_transferred += res.bytes_transferred;
-    out.l1_transactions += res.line_addrs.size();
-    replay.instructions.push_back(std::move(res.line_addrs));
-  }
-
-  // ---- loops: divergence from trip-count spread --------------------------
-  std::unordered_map<SiteOcc, LoopGroup, SiteOccHash> loop_groups;
-  for (const LaneTrace* lane : traces) {
-    occ_counter.clear();
     for (const LoopEvent& ev : lane->loops()) {
-      const std::uint32_t occ = occ_counter[ev.site]++;
-      LoopGroup& group = loop_groups[SiteOcc{ev.site, occ}];
-      group.max_trips = std::max(group.max_trips, ev.trips);
-      group.sum_trips += ev.trips;
-      ++group.lanes;
+      recorder.loop_trip(ev.site, ev.trips);
     }
-  }
-  for (const auto& [key, group] : loop_groups) {
-    // The warp executes max_trips iterations; a lane is active only for
-    // its own trip count. One issue slot per iteration models the body.
-    out.warp_instructions += group.max_trips;
-    out.lane_slots += group.max_trips * warp_size;
-    out.active_lane_slots += group.sum_trips;
-  }
-
-  // ---- branches -----------------------------------------------------------
-  std::unordered_map<SiteOcc, BranchGroup, SiteOccHash> branch_groups;
-  for (const LaneTrace* lane : traces) {
-    occ_counter.clear();
     for (const BranchEvent& ev : lane->branches()) {
-      const std::uint32_t occ = occ_counter[ev.site]++;
-      BranchGroup& group = branch_groups[SiteOcc{ev.site, occ}];
-      if (ev.taken) {
-        ++group.taken;
-      } else {
-        ++group.not_taken;
-      }
+      recorder.branch(ev.site, ev.taken);
     }
+    recorder.count_flops(lane->flops());
   }
-  for (const auto& [key, group] : branch_groups) {
-    out.branch_events += 1;
-    out.warp_instructions += 1;
-    const std::uint32_t active = group.taken + group.not_taken;
-    out.lane_slots += warp_size;
-    out.active_lane_slots += active;
-    if (group.taken > 0 && group.not_taken > 0) ++out.divergent_branches;
-  }
-
-  // ---- flops ---------------------------------------------------------------
-  for (const LaneTrace* lane : traces) out.flops += lane->flops();
-
+  WarpReplay replay;
+  recorder.end_warp(out, replay.instructions);
   return replay;
 }
 
-void replay_interleaved_l1(std::vector<WarpReplay>& replays,
-                           const DeviceSpec& spec, SetAssocCache& l1,
-                           KernelMetrics& out,
-                           std::vector<std::uint64_t>& l2_misses) {
-  (void)spec;
-  std::vector<std::size_t> cursor(replays.size(), 0);
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (std::size_t w = 0; w < replays.size(); ++w) {
-      const auto& stream = replays[w].instructions;
-      if (cursor[w] >= stream.size()) continue;
-      progressed = true;
-      for (std::uint64_t line : stream[cursor[w]]) {
+// ---- cache replay ----------------------------------------------------------
+
+void replay_streams_l1(std::span<const WarpStream> warps, SetAssocCache& l1,
+                       KernelMetrics& out,
+                       std::vector<std::uint64_t>& l2_misses) {
+  // Round r issues instruction r of every warp that still has one, in warp
+  // order. `active` holds those warps; finished ones drop out in place.
+  std::vector<WarpStream> active;
+  active.reserve(warps.size());
+  for (const WarpStream& w : warps) {
+    if (w.count > 0) active.push_back(w);
+  }
+  for (std::size_t r = 0; !active.empty(); ++r) {
+    std::size_t keep = 0;
+    for (const WarpStream& w : active) {
+      for (std::uint32_t i = w.offsets[r]; i < w.offsets[r + 1]; ++i) {
+        const std::uint64_t line = w.lines[i];
         if (l1.access(line)) {
           ++out.l1.hits;
         } else {
@@ -163,9 +222,33 @@ void replay_interleaved_l1(std::vector<WarpReplay>& replays,
           l2_misses.push_back(line);
         }
       }
-      ++cursor[w];
+      if (r + 1 < w.count) active[keep++] = w;
     }
+    active.resize(keep);
   }
+}
+
+namespace {
+
+std::vector<WarpStream> streams_of(const std::vector<WarpReplay>& replays) {
+  std::vector<WarpStream> warps;
+  warps.reserve(replays.size());
+  for (const WarpReplay& replay : replays) {
+    const LineStreams& s = replay.instructions;
+    warps.push_back(
+        WarpStream{s.offsets().data(), s.lines().data(), s.size()});
+  }
+  return warps;
+}
+
+}  // namespace
+
+void replay_interleaved_l1(const std::vector<WarpReplay>& replays,
+                           const DeviceSpec& spec, SetAssocCache& l1,
+                           KernelMetrics& out,
+                           std::vector<std::uint64_t>& l2_misses) {
+  (void)spec;
+  replay_streams_l1(streams_of(replays), l1, out, l2_misses);
 }
 
 void replay_l2_lines(const std::vector<std::uint64_t>& lines,
@@ -185,7 +268,7 @@ void replay_l2_lines(const std::vector<std::uint64_t>& lines,
   }
 }
 
-void replay_interleaved(std::vector<WarpReplay>& replays,
+void replay_interleaved(const std::vector<WarpReplay>& replays,
                         const DeviceSpec& spec, SetAssocCache& l1,
                         SetAssocCache& l2, KernelMetrics& out) {
   std::vector<std::uint64_t> l2_misses;

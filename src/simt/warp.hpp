@@ -1,40 +1,245 @@
 #pragma once
 /// \file warp.hpp
-/// Warp analyzer: reconstructs lockstep SIMT execution from independent
-/// per-lane traces. Events are aligned by (site, occurrence-within-site):
-/// lanes that recorded the n-th event at a static site are the lanes that
-/// were active when the warp issued that instruction. The analyzer derives
-/// divergence statistics and replays coalesced memory traffic through the
-/// SM's L1 and the shared L2.
+/// Warp analyzer: reconstructs lockstep SIMT execution from the lanes of a
+/// warp. Events are aligned by (site, occurrence-within-site): lanes that
+/// recorded the n-th event at a static site are the lanes that were active
+/// when the warp issued that instruction. The analyzer derives divergence
+/// statistics and replays coalesced memory traffic through the SM's L1 and
+/// the shared L2.
+///
+/// WarpRecorder does the alignment as the lanes run: simt::launch hands it
+/// to each lane of a warp in turn, so no per-lane event stream is kept.
+/// analyze_warp_groups feeds recorded LaneTraces through the same recorder.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "simt/cache.hpp"
 #include "simt/device.hpp"
 #include "simt/metrics.hpp"
+#include "simt/probe.hpp"
 #include "simt/trace.hpp"
 
 namespace bd::simt {
 
+/// Coalesced line addresses of a sequence of warp-level load instructions,
+/// in CSR form: instruction i touches lines()[offsets()[i] ..
+/// offsets()[i + 1]) (WarpRecorder emits them ascending and unique).
+/// Iterating yields one std::span of line addresses per instruction, in
+/// program order.
+class LineStreams {
+ public:
+  class iterator {
+   public:
+    using value_type = std::span<const std::uint64_t>;
+    using difference_type = std::ptrdiff_t;
+    iterator() = default;
+    iterator(const LineStreams* owner, std::size_t i) : owner_(owner), i_(i) {}
+    value_type operator*() const { return (*owner_)[i_]; }
+    iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator==(const iterator& other) const { return i_ == other.i_; }
+
+   private:
+    const LineStreams* owner_ = nullptr;
+    std::size_t i_ = 0;
+  };
+
+  /// Number of instructions.
+  std::size_t size() const {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
+  std::span<const std::uint64_t> operator[](std::size_t i) const {
+    return {lines_.data() + offsets_[i], lines_.data() + offsets_[i + 1]};
+  }
+  iterator begin() const { return {this, 0}; }
+  iterator end() const { return {this, size()}; }
+
+  /// Append one instruction touching `lines`; replay walks them in the
+  /// order given.
+  void push_back(std::span<const std::uint64_t> lines);
+
+  /// size() + 1 offsets into lines(); none before anything is appended.
+  const std::vector<std::uint32_t>& offsets() const { return offsets_; }
+  const std::vector<std::uint64_t>& lines() const { return lines_; }
+
+  void clear();
+
+ private:
+  friend class WarpRecorder;
+
+  std::vector<std::uint32_t> offsets_;
+  std::vector<std::uint64_t> lines_;
+};
+
 /// The coalesced memory stream of one warp: line addresses per warp-level
 /// load instruction, in program order — ready for cache replay.
 struct WarpReplay {
-  std::vector<std::vector<std::uint64_t>> instructions;
+  LineStreams instructions;
 };
+
+/// A LaneProbe that aligns the lanes of one warp into warp instructions as
+/// they run. Lanes must be recorded serially, in lane order:
+///
+///   begin_warp(spec); for each lane { begin_lane(); run lane; }
+///   end_warp(out, streams);
+///
+/// Each static site maps to a dense index, and each (site, occurrence)
+/// gets a group slot the first time a lane reaches it. A load updates its
+/// group and appends the line(s) it touches unless a line equals the
+/// group's last one. end_warp sorts the lines per group into CSR form and
+/// adds the warp's divergence and coalescing counters to `out`.
+///
+/// Holds no state between warps except reusable buffers, so one recorder
+/// per worker thread serves every warp of every launch without allocating
+/// after warm-up (see worker_recorder()).
+class WarpRecorder final : public LaneProbe {
+ public:
+  void begin_warp(const DeviceSpec& spec);
+  void begin_lane();
+
+  void count_flops(std::uint64_t n) override { flops_ += n; }
+  void load(std::uint32_t site, const void* addr,
+            std::uint32_t bytes) override {
+    record_load(site, reinterpret_cast<std::uint64_t>(addr), bytes);
+  }
+  void load_run(std::uint32_t site, const void* const* addrs,
+                std::uint32_t bytes, std::size_t count) override;
+  void loop_trip(std::uint32_t site, std::uint64_t trips) override;
+  void branch(std::uint32_t site, bool taken) override;
+
+  /// One load of `bytes` at virtual address `addr`; load() and load_run()
+  /// forward here, and analyze_warp_groups replays LoadEvents through it.
+  void record_load(std::uint32_t site, std::uint64_t addr,
+                   std::uint32_t bytes) {
+    const std::uint32_t g =
+        load_sites_.find(site).next_slot(load_groups_.size());
+    if (g == load_groups_.size()) load_groups_.push_back(LoadGroup{0, 0});
+    ++load_events_;
+    load_bytes_ += bytes;
+    if (bytes == 0) return;
+    LoadGroup& group = load_groups_[g];
+    const std::uint64_t last = (addr + bytes - 1) & line_mask_;
+    for (std::uint64_t line = addr & line_mask_;; line += line_bytes_) {
+      // Neighbouring lanes mostly touch the line their predecessor
+      // touched; dropping repeats keeps the events near the unique count.
+      if (group.lines == 0 || group.last_line != line) {
+        group.last_line = line;
+        ++group.lines;
+        events_.push_back(LineEvent{line, g});
+      }
+      if (line == last) break;
+    }
+  }
+
+  /// Close the warp: add its counters to `out` and append one instruction
+  /// per load group to `streams`, in program order.
+  void end_warp(KernelMetrics& out, LineStreams& streams);
+
+ private:
+  /// A static site of the warp: its dense index is its table position.
+  struct Site {
+    std::uint32_t id = 0;
+    std::uint32_t lane_occ = 0;        ///< occurrences in the current lane
+    std::vector<std::uint32_t> group;  ///< group slot per occurrence
+
+    /// Group slot of the site's next occurrence in the current lane. A
+    /// lane reaching an occurrence no earlier lane reached opens slot
+    /// `groups` (the caller's group count), so slots are numbered in
+    /// creation order.
+    std::uint32_t next_slot(std::size_t groups) {
+      const std::uint32_t occ = lane_occ++;
+      if (occ < group.size()) return group[occ];
+      group.push_back(static_cast<std::uint32_t>(groups));
+      return group.back();
+    }
+  };
+  /// Per-kind table of the static sites seen in this warp. Entries past
+  /// `live` keep their buffers for later warps.
+  struct SiteTable {
+    std::vector<Site> sites;
+    std::size_t live = 0;  ///< sites[0, live) are in use this warp
+    std::size_t last = 0;  ///< index of the most recent lookup
+    void reset_warp() { live = last = 0; }
+    void reset_lane() {
+      for (std::size_t i = 0; i < live; ++i) sites[i].lane_occ = 0;
+    }
+    Site& find(std::uint32_t id) {
+      if (last < live && sites[last].id == id) return sites[last];
+      return find_slow(id);
+    }
+    Site& find_slow(std::uint32_t id);
+  };
+  /// A warp-level load instruction being assembled.
+  struct LoadGroup {
+    std::uint64_t last_line;  ///< most recent line appended
+    std::uint32_t lines;      ///< lines appended (before sort/unique)
+  };
+  /// A line appended to a load group, in arrival order.
+  struct LineEvent {
+    std::uint64_t line;
+    std::uint32_t group;
+  };
+
+  std::uint32_t warp_size_ = 0;
+  std::uint32_t line_bytes_ = 0;
+  std::uint64_t line_mask_ = 0;
+  std::uint32_t lanes_ = 0;
+
+  SiteTable load_sites_, loop_sites_, branch_sites_;
+  std::vector<LoadGroup> load_groups_;
+  std::vector<std::uint64_t> loop_max_trips_;
+  std::vector<std::uint8_t> branch_outcomes_;  ///< bit 0 taken, bit 1 not
+
+  std::vector<LineEvent> events_;
+  // end_warp's counting sort: per-group write cursor, lines by group.
+  std::vector<std::uint32_t> cursor_;
+  std::vector<std::uint64_t> sorted_;
+
+  std::uint64_t flops_ = 0;
+  std::uint64_t load_events_ = 0;
+  std::uint64_t load_bytes_ = 0;
+  std::uint64_t loop_trips_ = 0;
+  std::uint64_t branch_events_ = 0;
+};
+
+/// The calling thread's recorder: one per worker, reused across warps and
+/// launches. Not re-entrant — a kernel lane must not start another warp.
+WarpRecorder& worker_recorder();
 
 /// Reconstruct warp-level execution from per-lane traces: accumulates
 /// divergence/coalescing statistics into `out` and returns the warp's
-/// transaction stream for cache replay.
+/// transaction stream for cache replay. Replays the traces into
+/// worker_recorder(), so the result equals recording the lanes directly.
 WarpReplay analyze_warp_groups(const std::vector<const LaneTrace*>& traces,
                                const DeviceSpec& spec, KernelMetrics& out);
+
+/// One warp's instructions inside CSR storage: instruction i touches
+/// lines[offsets[i] .. offsets[i + 1]).
+struct WarpStream {
+  const std::uint32_t* offsets = nullptr;  ///< count + 1 entries
+  const std::uint64_t* lines = nullptr;
+  std::size_t count = 0;
+};
+
+/// Replay warp streams through the SM's private L1, interleaving
+/// round-robin one instruction at a time in the order given; L1 hit/miss
+/// counters go to `out` and every L1-miss line is appended to `l2_misses`
+/// in replay order. The one L1 replay implementation: replay_interleaved_l1
+/// and simt::launch both call it.
+void replay_streams_l1(std::span<const WarpStream> warps, SetAssocCache& l1,
+                       KernelMetrics& out,
+                       std::vector<std::uint64_t>& l2_misses);
 
 /// Replay several warps' transaction streams through the SM's L1 and the
 /// shared L2, interleaving round-robin one instruction at a time — the
 /// concurrency model of an SM's warp schedulers. Scattered per-warp
 /// streams thrash the shared L1; streams touching common lines share it.
 /// Composition of replay_interleaved_l1 + replay_l2_lines.
-void replay_interleaved(std::vector<WarpReplay>& replays,
+void replay_interleaved(const std::vector<WarpReplay>& replays,
                         const DeviceSpec& spec, SetAssocCache& l1,
                         SetAssocCache& l2, KernelMetrics& out);
 
@@ -44,7 +249,7 @@ void replay_interleaved(std::vector<WarpReplay>& replays,
 /// instead of touching the shared L2. Per-SM L1 state is independent, so
 /// the executor runs this stage for all SMs in parallel (sharded replay)
 /// and feeds the recorded miss streams to replay_l2_lines serially.
-void replay_interleaved_l1(std::vector<WarpReplay>& replays,
+void replay_interleaved_l1(const std::vector<WarpReplay>& replays,
                            const DeviceSpec& spec, SetAssocCache& l1,
                            KernelMetrics& out,
                            std::vector<std::uint64_t>& l2_misses);

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/lru_cache.hpp"
 #include "simt/cache.hpp"
+#include "simt/device.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace bd::simt {
 namespace {
@@ -107,6 +110,57 @@ TEST_P(CacheCapacitySweep, WorkingSetWithinCapacityAlwaysHitsOnSecondPass) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, CacheCapacitySweep,
                          ::testing::Values(4u, 8u, 16u, 64u, 256u));
+
+struct Geometry {
+  const char* name;
+  std::uint32_t capacity_bytes, line_bytes, ways;
+};
+
+TEST(CacheOracle, RandomStreamsMatchNaiveLru) {
+  // Access by access, the flat cache must give the hit/miss answers of a
+  // naive true-LRU list per set, through flush() and reset_stats().
+  const DeviceSpec k40 = tesla_k40(), tiny = test_device();
+  const Geometry geometries[] = {
+      {"k40-l1", k40.l1_bytes, k40.l1_line_bytes, k40.l1_ways},
+      {"k40-l2", k40.l2_bytes, k40.l2_line_bytes, k40.l2_ways},
+      {"tiny-l1", tiny.l1_bytes, tiny.l1_line_bytes, tiny.l1_ways},
+      {"tiny-l2", tiny.l2_bytes, tiny.l2_line_bytes, tiny.l2_ways},
+  };
+  for (const Geometry& g : geometries) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SetAssocCache cache(g.capacity_bytes, g.line_bytes, g.ways);
+      oracle::LruCache naive(g.capacity_bytes, g.line_bytes, g.ways);
+      util::Rng rng(seed);
+      // Working sets from half to four times the capacity, swept and
+      // sampled, so sets both fit and thrash.
+      const std::uint64_t span = g.capacity_bytes * seed / 2;
+      std::uint64_t sweep = 0;
+      for (int i = 0; i < 40000; ++i) {
+        if (i % 9001 == 9000) {
+          cache.flush();
+          naive.flush();
+        }
+        if (i % 7001 == 7000) {
+          cache.reset_stats();
+          naive.reset_stats();
+        }
+        std::uint64_t addr;
+        if (rng.uniform_index(2) == 0) {
+          addr = rng.uniform_index(span);
+        } else {
+          sweep = (sweep + g.line_bytes / 2) % span;
+          addr = sweep;
+        }
+        ASSERT_EQ(cache.access(addr), naive.access(addr))
+            << g.name << " seed " << seed << " access " << i;
+      }
+      EXPECT_EQ(cache.stats().hits, naive.hits()) << g.name;
+      EXPECT_EQ(cache.stats().misses, naive.misses()) << g.name;
+      EXPECT_GT(naive.hits(), 0u) << g.name;
+      EXPECT_GT(naive.misses(), 0u) << g.name;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace bd::simt

@@ -15,6 +15,7 @@
 #include "core/predictive.hpp"
 #include "core/simulation.hpp"
 #include "simt/device.hpp"
+#include "test_helpers.hpp"
 #include "util/check.hpp"
 #include "util/faultinject.hpp"
 #include "util/serialize.hpp"
@@ -80,7 +81,7 @@ TEST(Serialize, Crc32MatchesKnownVector) {
 
 class CheckedFileTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "bd_checked_file_test.bin";
+  std::string path_ = testing::unique_temp_path("checked_file.bin");
   void TearDown() override {
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
@@ -203,7 +204,7 @@ TEST_F(CheckedFileTest, ConcurrentWritersToSamePathNeverCorrupt) {
 /// (loud failure).
 class JournalFrameTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "bd_journal_frame_test.wal";
+  std::string path_ = testing::unique_temp_path("journal.wal");
   void TearDown() override { std::remove(path_.c_str()); }
 
   static std::vector<std::byte> record(std::uint64_t tag) {
@@ -334,7 +335,7 @@ std::unique_ptr<core::Simulation> make_sim(bool with_fallbacks = true) {
 
 class CheckpointTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "bd_checkpoint_test.ckpt";
+  std::string path_ = testing::unique_temp_path("checkpoint.ckpt");
   void TearDown() override {
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
@@ -407,9 +408,8 @@ TEST_F(CheckpointTest, RestoreRejectsSolverLineupMismatch) {
 
 TEST_F(CheckpointTest, RestoreRejectsMissingFile) {
   auto sim = make_sim();
-  EXPECT_THROW(
-      core::restore_checkpoint(*sim, ::testing::TempDir() + "no_such.ckpt"),
-      bd::CheckError);
+  const std::string missing = testing::unique_temp_path("no_such.ckpt");
+  EXPECT_THROW(core::restore_checkpoint(*sim, missing), bd::CheckError);
 }
 
 TEST_F(CheckpointTest, ConcurrentSimsCheckpointIntoSameDirectory) {
@@ -418,8 +418,8 @@ TEST_F(CheckpointTest, ConcurrentSimsCheckpointIntoSameDirectory) {
   // both writers staged to "<path>.tmp" and could rename each other's
   // half-written file into place. Each checkpoint must restore to its own
   // simulation afterwards.
-  const std::string path_a = ::testing::TempDir() + "bd_ckpt_dir_a.ckpt";
-  const std::string path_b = ::testing::TempDir() + "bd_ckpt_dir_b.ckpt";
+  const std::string path_a = testing::unique_temp_path("a.ckpt");
+  const std::string path_b = testing::unique_temp_path("b.ckpt");
 
   auto sim_a = make_sim();
   auto sim_b = make_sim();

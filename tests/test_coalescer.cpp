@@ -1,11 +1,12 @@
-/// Tests for the warp memory coalescer.
+/// Tests for the reference warp memory coalescer (tests/oracles), the
+/// definition simt::WarpRecorder's coalescing is checked against.
 
 #include <gtest/gtest.h>
 
-#include "simt/coalescer.hpp"
+#include "oracles/coalescer.hpp"
 #include "util/check.hpp"
 
-namespace bd::simt {
+namespace bd::simt::oracle {
 namespace {
 
 TEST(Coalescer, ContiguousLanesOneTransaction) {
@@ -101,4 +102,4 @@ INSTANTIATE_TEST_SUITE_P(Strides, CoalescerStrideSweep,
                          ::testing::Values(1, 2, 4, 8, 16));
 
 }  // namespace
-}  // namespace bd::simt
+}  // namespace bd::simt::oracle

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "test_helpers.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
 
@@ -21,7 +22,7 @@ std::string read_file(const std::string& path) {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "bd_csv_test.csv";
+  std::string path_ = testing::unique_temp_path("table.csv");
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

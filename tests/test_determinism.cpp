@@ -177,7 +177,7 @@ TEST(Determinism, CheckpointRoundTripBitwiseIdentical) {
   // load copies into the existing allocation, so a restored in-place run
   // replays the exact memory behaviour. (Cross-object restores can only
   // promise identical physics; see test_checkpoint.cpp.)
-  const std::string path = ::testing::TempDir() + "bd_determinism_ckpt.bin";
+  const std::string path = testing::unique_temp_path("ckpt.bin");
   core::SimConfig config;
   config.particles = 4000;
   config.nx = 16;
@@ -351,7 +351,7 @@ TEST(Determinism, CheckpointRoundTripThroughBatchedPath) {
   // resume bit-identically under the SIMD dispatch (and vice versa): the
   // dispatch level is execution strategy, not state. On hosts without AVX2
   // both halves run scalar and this degenerates to the plain round trip.
-  const std::string path = ::testing::TempDir() + "bd_simd_ckpt.bin";
+  const std::string path = testing::unique_temp_path("simd_ckpt.bin");
   core::SimConfig config;
   config.particles = 4000;
   config.nx = 16;
@@ -446,7 +446,7 @@ TEST(Determinism, ScratchStopsGrowingAfterWarmup) {
   EXPECT_GT(steady["rp.scratch_reuses"], 0u);
 
   // Checkpoint/restore reuses the Simulation's warm arena.
-  const std::string path = ::testing::TempDir() + "bd_scratch_ckpt.bin";
+  const std::string path = testing::unique_temp_path("scratch_ckpt.bin");
   core::save_checkpoint(sim, path);
   core::restore_checkpoint(sim, path);
   std::remove(path.c_str());

@@ -30,6 +30,7 @@
 #include "core/predictive.hpp"
 #include "core/simulation.hpp"
 #include "simt/device.hpp"
+#include "test_helpers.hpp"
 #include "util/check.hpp"
 #include "util/faultinject.hpp"
 #include "util/parallel.hpp"
@@ -104,12 +105,7 @@ std::uint64_t global_counter(const std::string& name) {
 class FleetSpoolTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() /
-            ("bd_fleet_test_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name())))
-               .string();
+    dir_ = testing::unique_temp_path("spool");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

@@ -16,6 +16,7 @@
 #include "core/predictive.hpp"
 #include "core/simulation.hpp"
 #include "simt/device.hpp"
+#include "test_helpers.hpp"
 #include "util/check.hpp"
 #include "util/faultinject.hpp"
 #include "util/telemetry.hpp"
@@ -333,8 +334,7 @@ TEST_F(GuardedSimTest, PoolExceptionPropagatesWhenChecksOff) {
 }
 
 TEST_F(GuardedSimTest, TruncatedCheckpointWriteKeepsPreviousSnapshot) {
-  const std::string path =
-      ::testing::TempDir() + "bd_health_truncate_test.ckpt";
+  const std::string path = testing::unique_temp_path("truncate.ckpt");
   auto sim = guarded_sim();
   sim->run(1);
   core::save_checkpoint(*sim, path);
@@ -355,7 +355,7 @@ TEST_F(GuardedSimTest, TruncatedCheckpointWriteKeepsPreviousSnapshot) {
 }
 
 TEST_F(GuardedSimTest, MonitorAndLadderStateSurviveCheckpoint) {
-  const std::string path = ::testing::TempDir() + "bd_health_ckpt_state.ckpt";
+  const std::string path = testing::unique_temp_path("state.ckpt");
   auto sim = guarded_sim();
   util::faultinject::install("forecast@3");
   sim->run(3);  // demoted at step 3

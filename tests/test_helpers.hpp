@@ -1,8 +1,14 @@
 #pragma once
-/// Shared fixtures for solver-level tests: a small rp-problem over a
-/// continuum-filled (noise-free) moment history.
+/// Shared test helpers: per-test scratch file paths, and a small
+/// rp-problem over a continuum-filled (noise-free) moment history for
+/// solver-level tests.
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cctype>
 #include <memory>
+#include <string>
 
 #include "beam/analytic.hpp"
 #include "beam/history.hpp"
@@ -11,6 +17,22 @@
 #include "core/problem.hpp"
 
 namespace bd::testing {
+
+/// A scratch file path under ::testing::TempDir() that no other test
+/// shares: keyed on the process id and the running test's suite and name,
+/// so test processes running side by side (ctest -j) never touch each
+/// other's files. `stem` tells apart several files of one test.
+inline std::string unique_temp_path(const std::string& stem) {
+  std::string key = std::to_string(::getpid());
+  if (const auto* info =
+          ::testing::UnitTest::GetInstance()->current_test_info()) {
+    key += std::string("_") + info->test_suite_name() + "_" + info->name();
+  }
+  for (char& c : key) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+  }
+  return ::testing::TempDir() + "bd_" + key + "_" + stem;
+}
 
 /// Owns everything an RpProblem points to.
 struct ProblemFixture {

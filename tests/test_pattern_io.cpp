@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "core/pattern_io.hpp"
+#include "test_helpers.hpp"
 #include "util/check.hpp"
 
 namespace bd::core {
@@ -13,7 +14,7 @@ namespace {
 
 class PatternIoTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "bd_patterns_test.csv";
+  std::string path_ = testing::unique_temp_path("patterns.csv");
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "test_helpers.hpp"
 #include "util/parallel.hpp"
 #include "util/telemetry.hpp"
 
@@ -578,7 +579,7 @@ TEST(TraceSession, WriteChromeJsonProducesAFile) {
   { TraceSpan span("t.file", "test"); }
   session.stop();
 
-  const std::string path = ::testing::TempDir() + "bd_trace_test.json";
+  const std::string path = testing::unique_temp_path("trace.json");
   ASSERT_TRUE(session.write_chrome_json(path));
 
   std::FILE* f = std::fopen(path.c_str(), "rb");

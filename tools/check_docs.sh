@@ -2,7 +2,9 @@
 # Docs consistency check (run by the CI docs job and tools/ci.sh):
 #   1. every telemetry metric / span name used in src/ must be documented
 #      in docs/METRICS.md;
-#   2. no markdown file may contain a dead relative link.
+#   2. every root BENCH_*.json must be documented in docs/BENCHMARKS.md;
+#   3. no test may build a fixed scratch path under the temp directory;
+#   4. no markdown file may contain a dead relative link.
 # Pure grep/sed — no build needed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -48,7 +50,20 @@ for bench in BENCH_*.json; do
   fi
 done
 
-# --- 3. dead relative markdown links ---------------------------------------
+# --- 3. per-test scratch paths -------------------------------------------
+# ctest -j runs every test case as its own process, side by side. A fixed
+# file name under the temp directory is shared by all of them, so one
+# case overwrites or deletes another's file. Scratch paths go through
+# bd::testing::unique_temp_path (tests/test_helpers.hpp), the one place
+# allowed to append to TempDir(). The match spans line breaks.
+fixed=$(grep -rlPz --exclude=test_helpers.hpp \
+          'TempDir\(\)\s*\+\s*"|temp_directory_path\(\)\s*/\s*\(?\s*"' tests || true)
+for f in $fixed; do
+  echo "check_docs: $f builds a fixed scratch path from TempDir()/temp_directory_path(); use testing::unique_temp_path" >&2
+  fail=1
+done
+
+# --- 4. dead relative markdown links ---------------------------------------
 # [text](target) where target is not absolute, not a URL and not an anchor
 # must resolve to a file relative to the markdown file's directory.
 while IFS= read -r md; do

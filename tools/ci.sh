@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 build + full test suite, then a ThreadSanitizer
 # pass over the concurrency-sensitive tests (thread pool, SIMT executor,
-# rp-kernels/solvers, deposition, k-means, telemetry scopes, checkpoint
-# writers, the simulation fleet) with an oversubscribed pool
+# the per-worker warp recorder against its oracle, the cache against its
+# oracle, rp-kernels/solvers, deposition, k-means, telemetry scopes,
+# checkpoint writers, the simulation fleet) with an oversubscribed pool
 # (BD_NUM_THREADS=8) so cross-thread interleavings actually happen.
 #
 # An ASan+UBSan stage reruns the whole suite under AddressSanitizer +
@@ -17,7 +18,12 @@
 # ambient class through the retry/quarantine machinery.
 #
 # A docs stage checks docs consistency (tools/check_docs.sh): every
-# telemetry name documented in docs/METRICS.md, no dead markdown links.
+# telemetry name documented in docs/METRICS.md, no fixed scratch paths
+# under the temp directory in tests/, no dead markdown links.
+#
+# A stress stage reruns the filesystem-touching suites many processes
+# wide in random order, five times over, so tests that share files
+# across processes fail here rather than now and then in tier-1.
 #
 # A simd stage proves the scalar/SIMD bitwise-identity contract from both
 # sides: the whole suite reruns on the default build with BD_SIMD=off
@@ -43,7 +49,7 @@
 # replay counters identical to serial always; the replay speedup floor
 # only on hosts with >= 4 hardware threads).
 #
-# Usage: tools/ci.sh [tier1|tsan|asan|faults|docs|simd|perf-smoke|all]   (default: all)
+# Usage: tools/ci.sh [tier1|tsan|asan|faults|docs|simd|stress|perf-smoke|all]   (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,7 +69,7 @@ tsan() {
     test_parallel test_determinism test_executor test_rp_kernels \
     test_solvers test_deposit test_kmeans test_clustering test_telemetry \
     test_checkpoint test_fleet test_eval_engine test_health test_simulation \
-    test_wake
+    test_wake test_recorder test_cache
   ctest --preset tsan -j 1
 }
 
@@ -101,6 +107,15 @@ docs() {
   tools/check_docs.sh
 }
 
+stress() {
+  echo "=== stress: filesystem-touching tests, wide and shuffled ==="
+  cmake --preset default
+  cmake --build --preset default -j "$(nproc)"
+  ctest --preset default -j "$((2 * $(nproc)))" --schedule-random \
+    --repeat until-fail:5 \
+    -R "CheckedFile|JournalFrame|Checkpoint|Csv|PatternIo|Fleet|TraceSession|GuardedSim|Determinism"
+}
+
 perf_smoke() {
   echo "=== perf-smoke: bench_rp_eval vs checked-in baseline ==="
   cmake --preset default
@@ -133,8 +148,9 @@ case "$stage" in
   faults) faults ;;
   docs) docs ;;
   simd) simd ;;
+  stress) stress ;;
   perf-smoke) perf_smoke ;;
-  all) tier1; tsan; asan; faults; docs; simd; perf_smoke ;;
-  *) echo "unknown stage: $stage (want tier1|tsan|asan|faults|docs|simd|perf-smoke|all)" >&2; exit 2 ;;
+  all) tier1; tsan; asan; faults; docs; simd; stress; perf_smoke ;;
+  *) echo "unknown stage: $stage (want tier1|tsan|asan|faults|docs|simd|stress|perf-smoke|all)" >&2; exit 2 ;;
 esac
 echo "CI ($stage) OK"
