@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -13,12 +11,14 @@
 #include <map>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <unistd.h>
 #include <vector>
 
 #include "core/checkpoint.hpp"
 #include "util/check.hpp"
 #include "util/faultinject.hpp"
+#include "util/log.hpp"
 #include "util/parallel.hpp"
 #include "util/serialize.hpp"
 
@@ -54,7 +54,8 @@ std::uint32_t fleet_digest_step(const StepStats& stats, std::uint32_t prev) {
 }
 
 // ---------------------------------------------------------------------------
-// Journal records (docs/ROBUSTNESS.md documents this format)
+// Journal: one event type, one codec, one transition (docs/ROBUSTNESS.md
+// documents the format and tabulates apply()).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -68,26 +69,114 @@ constexpr std::uint32_t kJournalVersion = 1;
 enum class RecordKind : std::uint8_t {
   kHeader = 0,       ///< u32 version — always the first record
   kSubmit = 1,       ///< name, target u64, fault_spec, max_attempts, backoff
-  kStart = 2,        ///< name — first quantum began
+  kStart = 2,        ///< name — first quantum in this process began
   kCheckpoint = 3,   ///< name, step u64, digest u32 — precedes spool write
   kComplete = 4,     ///< name, steps u64, digest u32
   kFailAttempt = 5,  ///< name, attempt u32, error — a retry will follow
-  kFailTerminal = 6, ///< name, error — setup failure, never retried
+  kFailTerminal = 6, ///< name, error — setup or spool failure, never retried
   kQuarantine = 7,   ///< name, attempts u32, error — retry budget exhausted
   kCancel = 8,       ///< name
   kShutdown = 9,     ///< clean drain() — no payload beyond the kind
   kRetryState = 10,  ///< name, attempts u32, error — written by compaction
 };
 
-std::uint64_t steady_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+/// One journal record. Each kind carries the fields its RecordKind
+/// comment lists; the rest stay default. A default Event is the header.
+struct Event {
+  explicit Event(RecordKind kind = RecordKind::kHeader, std::string name = {},
+                 std::uint64_t step = 0, std::uint32_t digest = 0)
+      : kind(kind), name(std::move(name)), step(step), digest(digest) {}
+
+  RecordKind kind;
+  std::string name;
+  std::uint64_t step;          ///< submit: target steps; checkpoint, complete
+  std::uint32_t digest;        ///< checkpoint, complete
+  std::uint32_t attempts = 0;  ///< fail_attempt, quarantine, retry_state
+  std::uint32_t version = kJournalVersion;  ///< header
+  std::string text;            ///< submit: fault spec; otherwise the error
+  RetryPolicy retry;           ///< submit
+};
+
+/// fail_attempt, fail_terminal, quarantine, retry_state
+Event failure_event(RecordKind kind, const std::string& name,
+                    std::uint32_t attempts, const std::string& error) {
+  Event e(kind, name);
+  e.attempts = attempts;
+  e.text = error;
+  return e;
 }
 
-/// Everything the journal knows about one job name during replay.
-struct JournalEntry {
+Event submit_event(const std::string& name, std::uint64_t target_steps,
+                   const std::string& fault_spec, const RetryPolicy& retry) {
+  Event e(RecordKind::kSubmit, name, target_steps);
+  e.text = fault_spec;
+  e.retry = retry;
+  return e;
+}
+
+/// The payload layout after the kind byte, walked field by field:
+/// encode() and decode() share it, so the two cannot drift apart.
+template <class Field, class E>
+void walk_fields(E& e, Field&& field) {
+  if (e.kind == RecordKind::kHeader) return field(e.version);
+  if (e.kind == RecordKind::kShutdown) return;
+  field(e.name);
+  switch (e.kind) {
+    case RecordKind::kSubmit:
+      field(e.step);
+      field(e.text);
+      field(e.retry.max_attempts);
+      field(e.retry.backoff_rounds);
+      break;
+    case RecordKind::kCheckpoint:
+    case RecordKind::kComplete:
+      field(e.step);
+      field(e.digest);
+      break;
+    case RecordKind::kFailAttempt:
+    case RecordKind::kQuarantine:
+    case RecordKind::kRetryState:
+      field(e.attempts);
+      [[fallthrough]];
+    case RecordKind::kFailTerminal:
+      field(e.text);
+      break;
+    default:  // start, cancel: the name alone
+      break;
+  }
+}
+
+util::BinaryWriter encode(const Event& e) {
+  util::BinaryWriter out;
+  out.write_u8(static_cast<std::uint8_t>(e.kind));
+  walk_fields(e, [&out]<class T>(const T& v) {
+    if constexpr (std::is_same_v<T, std::string>) out.write_string(v);
+    else if constexpr (std::is_same_v<T, std::uint64_t>) out.write_u64(v);
+    else out.write_u32(v);
+  });
+  return out;
+}
+
+/// Inverse of encode(). An unknown kind means the journal came from a
+/// newer build.
+Event decode(std::span<const std::byte> payload) {
+  util::BinaryReader in(payload);
+  const std::uint8_t kind = in.read_u8();
+  BD_CHECK_MSG(kind <= static_cast<std::uint8_t>(RecordKind::kRetryState),
+               "fleet journal: unknown record kind " << static_cast<int>(kind));
+  Event e(static_cast<RecordKind>(kind));
+  walk_fields(e, [&in]<class T>(T& v) {
+    if constexpr (std::is_same_v<T, std::string>) v = in.read_string();
+    else if constexpr (std::is_same_v<T, std::uint64_t>) v = in.read_u64();
+    else v = in.read_u32();
+  });
+  return e;
+}
+
+/// Everything the journal knows about one job name.
+struct JobRecord {
+  explicit JobRecord(std::string name = {}) : name(std::move(name)) {}
+
   std::string name;
   std::uint64_t target_steps = 0;
   std::string fault_spec;
@@ -95,11 +184,94 @@ struct JournalEntry {
   std::map<std::uint64_t, std::uint32_t> checkpoints;  ///< step -> digest
   std::uint32_t attempts = 0;
   std::string error;
-  /// kQueued = incomplete; otherwise the journaled terminal state.
+  /// kQueued = open (incomplete); otherwise the journaled terminal state.
   FleetJobState terminal = FleetJobState::kQueued;
-  std::uint64_t final_steps = 0;   ///< from kComplete
-  std::uint32_t final_digest = 0;  ///< from kComplete
+  std::uint64_t final_steps = 0;   ///< from complete
+  std::uint32_t final_digest = 0;  ///< from complete
 };
+
+/// The one job-state transition. Live code reaches it through commit()
+/// (journal append, then apply); recover() applies decoded records.
+/// Duplicate terminal records are idempotent (last wins).
+void apply(JobRecord& r, const Event& e) {
+  switch (e.kind) {
+    case RecordKind::kSubmit:
+      // Re-submitting a finished name starts a new job; re-submitting an
+      // open one (adoption) keeps its checkpoints and attempts.
+      if (r.terminal != FleetJobState::kQueued) r = JobRecord(r.name);
+      r.target_steps = e.step;
+      r.fault_spec = e.text;
+      r.retry = e.retry;
+      break;
+    case RecordKind::kCheckpoint:
+      r.checkpoints[e.step] = e.digest;
+      break;
+    case RecordKind::kComplete:
+      r.terminal = FleetJobState::kDone;
+      r.final_steps = e.step;
+      r.final_digest = e.digest;
+      r.error.clear();  // a retried-then-successful job reports no error
+      break;
+    case RecordKind::kQuarantine:
+      r.terminal = FleetJobState::kQuarantined;
+      [[fallthrough]];
+    case RecordKind::kFailAttempt:
+    case RecordKind::kRetryState:
+      r.attempts = e.attempts;
+      r.error = e.text;
+      break;
+    case RecordKind::kFailTerminal:
+      r.terminal = FleetJobState::kFailed;
+      r.error = e.text;
+      break;
+    case RecordKind::kCancel:
+      r.terminal = FleetJobState::kCancelled;
+      break;
+    default:  // header, start, shutdown: no job state
+      break;
+  }
+}
+
+/// The events that rebuild an open record — what compaction writes.
+std::vector<Event> rebuild_events(const JobRecord& r) {
+  std::vector<Event> events{
+      submit_event(r.name, r.target_steps, r.fault_spec, r.retry)};
+  if (r.attempts > 0) {
+    events.push_back(failure_event(RecordKind::kRetryState, r.name,
+                                   r.attempts, r.error));
+  }
+  for (const auto& [step, digest] : r.checkpoints) {
+    events.emplace_back(RecordKind::kCheckpoint, r.name, step, digest);
+  }
+  return events;
+}
+
+/// A done job reports its final step/digest, an open or failed one its
+/// last journaled checkpoint (0/0 when none).
+FleetRecoveredJob recovered_job(const JobRecord& r) {
+  std::pair<std::uint64_t, std::uint32_t> last{r.final_steps, r.final_digest};
+  if (r.terminal != FleetJobState::kDone) {
+    last = {};
+    if (!r.checkpoints.empty()) last = *r.checkpoints.rbegin();
+  }
+  return {r.name, r.terminal, static_cast<std::size_t>(r.target_steps),
+          static_cast<std::size_t>(last.first), last.second, r.attempts,
+          r.error, /*resubmitted=*/false};
+}
+
+/// The last good checkpoint stays on disk for postmortem.
+FleetQuarantineEntry quarantine_entry(const JobRecord& r,
+                                      const std::string& spool_path) {
+  const bool kept = !spool_path.empty() && std::filesystem::exists(spool_path);
+  return {r.name, r.attempts, r.error, kept ? spool_path : std::string()};
+}
+
+std::uint64_t steady_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 }  // namespace
 
@@ -109,19 +281,21 @@ struct JournalEntry {
 
 struct SimulationFleet::Job {
   JobId id = 0;
-  FleetJobSpec spec;
+  /// The journal's view of the job. Written only through Impl::commit
+  /// (apply under Impl::mu, since poll() reads it); the owning lane may
+  /// read it lock-free while the job is kRunning.
+  JobRecord record;
+  std::function<std::unique_ptr<Simulation>()> factory;
+  std::function<void(const StepStats&)> on_step;
   std::string spool_path;  ///< "" when the fleet has no spool directory
 
   FleetJobState state = FleetJobState::kQueued;  ///< guarded by Impl::mu
-  std::string error;  ///< written by the owning lane before the terminal
-                      ///< state is published under Impl::mu
 
   /// Progress fields are written lock-free by the one lane that owns the
   /// job while it is kRunning and read by poll() — hence atomic.
   std::atomic<std::size_t> steps_done{0};
   std::atomic<std::uint32_t> digest{0};
   std::atomic<bool> cancel_requested{false};
-  std::atomic<std::uint32_t> attempts{0};
 
   /// Watchdog channel. The owning lane publishes `running_sim` with
   /// release (so the acquire load sees a fully constructed Simulation)
@@ -139,15 +313,9 @@ struct SimulationFleet::Job {
   /// residents must read this flag, not the unique_ptr itself.
   std::atomic<bool> sim_live{false};
 
-  /// Lane-owned supervision state (no concurrent access: the single lane
-  /// that holds the job while kRunning, or the single-threaded
-  /// constructor/drain paths, are the only writers).
-  std::map<std::uint64_t, std::uint32_t> checkpoint_digests;
-  std::uint64_t last_ckpt_step = 0;
-  std::uint32_t last_ckpt_digest = 0;
+  /// Lane-owned scheduling state.
   std::uint32_t exhausted_streak = 0;  ///< unhealthy steps on the last rung
-  std::size_t quanta_run = 0;
-  bool started_journaled = false;
+  std::size_t quanta_run = 0;          ///< quanta begun in this process
 
   /// Job-private isolation: telemetry targets and fault harness live as
   /// long as the job, surviving eviction and retries — so a
@@ -160,6 +328,22 @@ struct SimulationFleet::Job {
   std::unique_ptr<util::faultinject::FaultHarness> harness;
 
   std::unique_ptr<Simulation> sim;  ///< resident iff non-null
+
+  /// Destroy the resident sim. Caller holds Impl::mu.
+  void release_sim() {
+    running_sim.store(nullptr, std::memory_order_relaxed);
+    sim_live.store(false, std::memory_order_relaxed);
+    sim.reset();
+  }
+
+  /// Caller holds Impl::mu.
+  FleetJobStatus status() const {
+    return {state, steps_done.load(std::memory_order_relaxed),
+            static_cast<std::size_t>(record.target_steps),
+            digest.load(std::memory_order_relaxed),
+            fleet_job_terminal(state) ? record.error : std::string(),
+            record.attempts};
+  }
 };
 
 struct SimulationFleet::Impl {
@@ -174,7 +358,6 @@ struct SimulationFleet::Impl {
   bool stop = false;                        // guarded by mu
   bool stopping = false;  ///< dtor in progress: keep evicted spool files
   bool draining = false;  ///< drain() in progress/finished: freeze queue
-  bool drained = false;   ///< drain() completed (driver joined)
   std::thread driver;
 
   /// Journal: appends are serialized by journal_mu alone; mu -> journal_mu
@@ -184,23 +367,41 @@ struct SimulationFleet::Impl {
 
   std::vector<FleetQuarantineEntry> quarantine;       // guarded by mu
   std::vector<FleetRecoveredJob> recovered_report;    // guarded by mu
-  /// Incomplete journal entries awaiting adoption by a matching submit()
-  /// (only populated when no recovery_factory was given).
-  std::map<std::string, JournalEntry> pending_recovery;  // guarded by mu
+  /// Replayed open records awaiting the submit() that adopts them.
+  std::map<std::string, JobRecord> open_records;      // guarded by mu
 
-  void journal_append(RecordKind kind,
-                      const std::function<void(util::BinaryWriter&)>& fill);
+  void append(const Event& event) {
+    if (journal_path.empty()) return;
+    const util::BinaryWriter out = encode(event);
+    std::lock_guard<std::mutex> lk(journal_mu);
+    util::append_journal_record(journal_path, out.payload());
+  }
+
+  /// The live transition: journal `event`, then apply it to the job's
+  /// record. The append runs outside mu; the apply runs under it.
+  void commit(Job& job, const Event& event) {
+    append(event);
+    std::lock_guard<std::mutex> lk(mu);
+    apply(job.record, event);
+  }
+
+  /// commit() for a caller that already holds mu.
+  void commit_locked(Job& job, const Event& event) {
+    append(event);
+    apply(job.record, event);
+  }
+
+  /// Journal a checkpoint of the job's current step, then write its spool
+  /// file. Journal first: a crash in between leaves the previous spool
+  /// file, whose digest the journal already holds. Throws when the write
+  /// fails.
+  void checkpoint(Job& job) {
+    commit(job, Event(RecordKind::kCheckpoint, job.record.name,
+                      job.steps_done.load(std::memory_order_relaxed),
+                      job.digest.load(std::memory_order_relaxed)));
+    save_checkpoint(*job.sim, job.spool_path);
+  }
 };
-
-void SimulationFleet::Impl::journal_append(
-    RecordKind kind, const std::function<void(util::BinaryWriter&)>& fill) {
-  if (journal_path.empty()) return;
-  util::BinaryWriter out;
-  out.write_u8(static_cast<std::uint8_t>(kind));
-  if (fill) fill(out);
-  std::lock_guard<std::mutex> lk(journal_mu);
-  util::append_journal_record(journal_path, out.payload());
-}
 
 // ---------------------------------------------------------------------------
 // Construction: stale-tmp sweep, journal replay, compaction
@@ -214,244 +415,88 @@ SimulationFleet::SimulationFleet(FleetOptions options)
   if (!options_.spool_dir.empty()) {
     std::filesystem::create_directories(options_.spool_dir);
     impl_->journal_path = options_.spool_dir + "/fleet.journal";
-    sweep_stale_tmp_files();
+    // A process that crashed mid-checkpoint leaves its staging file behind.
+    if (const auto n = util::remove_dead_stage_files(options_.spool_dir)) {
+      telemetry::counter_add("fleet.stale_tmp_removed", n);
+    }
     recover();
   }
+  // The driver checks its wait predicate first, so recovered jobs already
+  // on the ready queue start without a notify.
   impl_->driver = std::thread([this] { driver_loop(); });
-  {
-    std::lock_guard<std::mutex> lk(impl_->mu);
-    if (!impl_->ready.empty()) impl_->work_cv.notify_one();
-  }
-}
-
-void SimulationFleet::sweep_stale_tmp_files() {
-  // checked-file writes stage to `<path>.tmp.<pid>.<seq>`; a process that
-  // crashed mid-write leaves the stage file behind forever. Remove stages
-  // whose pid is verifiably dead (bounded, best-effort: an unparseable
-  // name or a live/foreign pid is left alone).
-  namespace fs = std::filesystem;
-  constexpr std::size_t kSweepCap = 1024;
-  std::error_code ec;
-  std::uint64_t removed = 0;
-  std::size_t scanned = 0;
-  for (const auto& entry : fs::directory_iterator(options_.spool_dir, ec)) {
-    if (++scanned > kSweepCap) break;
-    if (!entry.is_regular_file(ec)) continue;
-    const std::string name = entry.path().filename().string();
-    const auto tag = name.find(".tmp.");
-    if (tag == std::string::npos) continue;
-    // pid = digits between ".tmp." and the next '.' (or end of name).
-    std::string pid_str = name.substr(tag + 5);
-    if (const auto dot = pid_str.find('.'); dot != std::string::npos) {
-      pid_str = pid_str.substr(0, dot);
-    }
-    if (pid_str.empty() ||
-        pid_str.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    const long pid = std::strtol(pid_str.c_str(), nullptr, 10);
-    if (pid <= 0 || pid == static_cast<long>(::getpid())) continue;
-    errno = 0;
-    if (::kill(static_cast<pid_t>(pid), 0) == 0 || errno != ESRCH) {
-      continue;  // alive (or not ours to judge) — keep the stage file
-    }
-    fs::remove(entry.path(), ec);
-    if (!ec) ++removed;
-  }
-  if (removed > 0) {
-    telemetry::counter_add("fleet.stale_tmp_removed", removed);
-  }
 }
 
 void SimulationFleet::recover() {
   const util::JournalReadResult replay =
       util::read_journal_records(impl_->journal_path);
   if (replay.records.empty() && !std::filesystem::exists(impl_->journal_path)) {
-    // Fresh spool: start the journal with its header record.
-    impl_->journal_append(RecordKind::kHeader, [](util::BinaryWriter& out) {
-      out.write_u32(kJournalVersion);
-    });
+    impl_->append(Event{});  // fresh spool: start the journal with a header
     return;
   }
 
   BD_TRACE_SPAN("fleet.recover", "fleet");
   telemetry::counter_add("fleet.journal_replays");
 
-  // Replay: fold every record into per-name entries. Duplicate terminal
-  // records and re-submits of a finished name are idempotent (last wins);
-  // an unknown record kind means the journal came from a newer build.
-  std::map<std::string, JournalEntry> entries;
+  // Replay: fold every record into per-name records, in first-seen order.
+  std::map<std::string, JobRecord> records;
   std::vector<std::string> order;
   for (const auto& payload : replay.records) {
-    util::BinaryReader in(payload);
-    const auto kind = static_cast<RecordKind>(in.read_u8());
-    if (kind == RecordKind::kHeader) {
-      const std::uint32_t version = in.read_u32();
-      BD_CHECK_MSG(version <= kJournalVersion,
+    const Event event = decode(payload);
+    if (event.kind == RecordKind::kHeader) {
+      BD_CHECK_MSG(event.version <= kJournalVersion,
                    "fleet journal " << impl_->journal_path << " has version "
-                                    << version << ", this build reads <= "
+                                    << event.version << ", this build reads <= "
                                     << kJournalVersion);
       continue;
     }
-    if (kind == RecordKind::kShutdown) continue;
-    const std::string name = in.read_string();
-    auto it = entries.find(name);
-    if (it == entries.end()) {
-      it = entries.emplace(name, JournalEntry{}).first;
-      it->second.name = name;
-      order.push_back(name);
-    }
-    JournalEntry& entry = it->second;
-    switch (kind) {
-      case RecordKind::kSubmit:
-        entry.target_steps = in.read_u64();
-        entry.fault_spec = in.read_string();
-        entry.retry.max_attempts = in.read_u32();
-        entry.retry.backoff_rounds = in.read_u32();
-        entry.terminal = FleetJobState::kQueued;  // re-submit reopens it
-        break;
-      case RecordKind::kStart:
-        break;
-      case RecordKind::kCheckpoint: {
-        const std::uint64_t step = in.read_u64();
-        entry.checkpoints[step] = in.read_u32();
-        break;
-      }
-      case RecordKind::kComplete:
-        entry.terminal = FleetJobState::kDone;
-        entry.final_steps = in.read_u64();
-        entry.final_digest = in.read_u32();
-        break;
-      case RecordKind::kFailAttempt:
-        entry.attempts = in.read_u32();
-        entry.error = in.read_string();
-        break;
-      case RecordKind::kFailTerminal:
-        entry.terminal = FleetJobState::kFailed;
-        entry.error = in.read_string();
-        break;
-      case RecordKind::kQuarantine:
-        entry.terminal = FleetJobState::kQuarantined;
-        entry.attempts = in.read_u32();
-        entry.error = in.read_string();
-        break;
-      case RecordKind::kCancel:
-        entry.terminal = FleetJobState::kCancelled;
-        break;
-      case RecordKind::kRetryState:
-        entry.attempts = in.read_u32();
-        entry.error = in.read_string();
-        break;
-      default:
-        BD_CHECK_MSG(false, "fleet journal " << impl_->journal_path
-                                             << ": unknown record kind "
-                                             << static_cast<int>(kind));
-    }
+    if (event.kind == RecordKind::kShutdown) continue;
+    auto [it, fresh] = records.try_emplace(event.name, event.name);
+    if (fresh) order.push_back(event.name);
+    apply(it->second, event);
   }
 
-  // Re-enqueue / report. The constructor is single-threaded, so the
-  // members are touched without Impl::mu here.
-  for (const std::string& name : order) {
-    JournalEntry& entry = entries[name];
-    FleetRecoveredJob report;
-    report.name = name;
-    report.state = entry.terminal;
-    report.target_steps = static_cast<std::size_t>(entry.target_steps);
-    if (!entry.checkpoints.empty()) {
-      report.checkpoint_step =
-          static_cast<std::size_t>(entry.checkpoints.rbegin()->first);
-      report.digest = entry.checkpoints.rbegin()->second;
-    }
-    if (entry.terminal == FleetJobState::kDone) {
-      report.checkpoint_step = static_cast<std::size_t>(entry.final_steps);
-      report.digest = entry.final_digest;
-    }
-    report.attempts = entry.attempts;
-    report.error = entry.error;
-
-    if (entry.terminal == FleetJobState::kQueued) {  // incomplete
-      if (options_.recovery_factory) {
-        auto job = std::make_unique<Job>();
-        job->spec.name = name;
-        job->spec.target_steps = static_cast<std::size_t>(entry.target_steps);
-        job->spec.fault_spec = entry.fault_spec;
-        job->spec.retry = entry.retry;
-        job->spec.factory = [factory = options_.recovery_factory, name] {
-          return factory(name);
-        };
-        job->spool_path = options_.spool_dir + "/" + name + ".ckpt";
-        job->checkpoint_digests = entry.checkpoints;
-        if (!entry.checkpoints.empty()) {
-          job->last_ckpt_step = entry.checkpoints.rbegin()->first;
-          job->last_ckpt_digest = entry.checkpoints.rbegin()->second;
-        }
-        job->attempts.store(entry.attempts, std::memory_order_relaxed);
-        job->error = entry.error;
-        job->started_journaled = true;  // submit/start already on disk
-        job->id = impl_->jobs.size();
-        impl_->ready.push_back(job->id);
-        impl_->jobs.push_back(std::move(job));
-        telemetry::counter_add("fleet.recovered");
-        report.resubmitted = true;
-      } else {
-        impl_->pending_recovery[name] = entry;
-      }
-    } else if (entry.terminal == FleetJobState::kQuarantined) {
-      FleetQuarantineEntry q;
-      q.name = name;
-      q.attempts = entry.attempts;
-      q.error = entry.error;
-      const std::string ckpt = options_.spool_dir + "/" + name + ".ckpt";
-      if (std::filesystem::exists(ckpt)) q.checkpoint_path = ckpt;
-      impl_->quarantine.push_back(std::move(q));
-    }
-    impl_->recovered_report.push_back(std::move(report));
-  }
-
-  // Compact: rewrite the journal keeping only what the next recovery
-  // needs — incomplete jobs' submit/retry-state/checkpoint records.
-  // Finished entries live on in recovered() but leave the disk file, so
-  // the journal stays proportional to the open work, not fleet lifetime.
+  // Compact: rewrite the journal as the events that rebuild the open
+  // records. Finished records live on in recovered() but leave the disk
+  // file, so the journal stays proportional to the open work, not fleet
+  // lifetime.
   const std::string tmp = impl_->journal_path + ".compact.tmp." +
                           std::to_string(static_cast<long>(::getpid()));
   std::remove(tmp.c_str());
-  {
-    util::BinaryWriter header;
-    header.write_u8(static_cast<std::uint8_t>(RecordKind::kHeader));
-    header.write_u32(kJournalVersion);
-    util::append_journal_record(tmp, header.payload());
-  }
+  util::append_journal_record(tmp, encode(Event{}).payload());
   for (const std::string& name : order) {
-    const JournalEntry& entry = entries[name];
-    if (entry.terminal != FleetJobState::kQueued) continue;
-    util::BinaryWriter submit;
-    submit.write_u8(static_cast<std::uint8_t>(RecordKind::kSubmit));
-    submit.write_string(name);
-    submit.write_u64(entry.target_steps);
-    submit.write_string(entry.fault_spec);
-    submit.write_u32(entry.retry.max_attempts);
-    submit.write_u32(entry.retry.backoff_rounds);
-    util::append_journal_record(tmp, submit.payload());
-    if (entry.attempts > 0) {
-      util::BinaryWriter retry;
-      retry.write_u8(static_cast<std::uint8_t>(RecordKind::kRetryState));
-      retry.write_string(name);
-      retry.write_u32(entry.attempts);
-      retry.write_string(entry.error);
-      util::append_journal_record(tmp, retry.payload());
-    }
-    for (const auto& [step, digest] : entry.checkpoints) {
-      util::BinaryWriter ckpt;
-      ckpt.write_u8(static_cast<std::uint8_t>(RecordKind::kCheckpoint));
-      ckpt.write_string(name);
-      ckpt.write_u64(step);
-      ckpt.write_u32(digest);
-      util::append_journal_record(tmp, ckpt.payload());
+    if (records[name].terminal != FleetJobState::kQueued) continue;
+    for (const Event& event : rebuild_events(records[name])) {
+      util::append_journal_record(tmp, encode(event).payload());
     }
   }
   BD_CHECK_MSG(std::rename(tmp.c_str(), impl_->journal_path.c_str()) == 0,
                "cannot rename compacted journal " << tmp << " over "
                                                   << impl_->journal_path);
+
+  // Report, and hand open records to submit(): with a recovery_factory
+  // they are re-submitted now, otherwise a later submit() adopts them.
+  std::lock_guard<std::mutex> lk(impl_->mu);
+  for (const std::string& name : order) {
+    const JobRecord& record = records[name];
+    FleetRecoveredJob report = recovered_job(record);
+    if (record.terminal == FleetJobState::kQuarantined) {
+      impl_->quarantine.push_back(quarantine_entry(
+          record, options_.spool_dir + "/" + name + ".ckpt"));
+    }
+    if (record.terminal == FleetJobState::kQueued) {
+      impl_->open_records.emplace(name, record);
+      if (options_.recovery_factory) {
+        const auto factory = [factory = options_.recovery_factory, name] {
+          return factory(name);
+        };
+        enqueue({name, factory, static_cast<std::size_t>(record.target_steps),
+                 record.fault_spec, nullptr, record.retry});
+        telemetry::counter_add("fleet.recovered");
+        report.resubmitted = true;
+      }
+    }
+    impl_->recovered_report.push_back(std::move(report));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -477,9 +522,7 @@ SimulationFleet::~SimulationFleet() {
       // round — and therefore this join — completes.
       if (!fleet_job_terminal(job->state) &&
           job->state != FleetJobState::kRunning) {
-        job->running_sim.store(nullptr, std::memory_order_relaxed);
-        job->sim_live.store(false, std::memory_order_relaxed);
-        job->sim.reset();
+        job->release_sim();
         job->state = FleetJobState::kCancelled;
       }
     }
@@ -503,78 +546,49 @@ SimulationFleet::JobId SimulationFleet::submit(FleetJobSpec spec) {
                "FleetJobSpec.target_steps must be > 0");
   BD_CHECK_MSG(spec.retry.max_attempts >= 1,
                "RetryPolicy.max_attempts must be >= 1");
-
-  auto job = std::make_unique<Job>();
-  if (!options_.spool_dir.empty()) {
-    job->spool_path = options_.spool_dir + "/" + spec.name + ".ckpt";
-  }
-  job->spec = std::move(spec);
-
   JobId id = 0;
   {
     std::lock_guard<std::mutex> lk(impl_->mu);
     BD_CHECK_MSG(!impl_->stop, "submit() on a stopped SimulationFleet");
     BD_CHECK_MSG(!impl_->draining, "submit() on a drained SimulationFleet");
-    for (const auto& existing : impl_->jobs) {
-      BD_CHECK_MSG(existing->spec.name != job->spec.name,
-                   "duplicate fleet job name: " << job->spec.name);
-    }
-    // A journaled incomplete job with this name (recovered without a
-    // recovery_factory) is adopted: its checkpoint digests and consumed
-    // attempts carry over, and its submit record is already on disk.
-    bool adopted = false;
-    if (auto it = impl_->pending_recovery.find(job->spec.name);
-        it != impl_->pending_recovery.end()) {
-      const JournalEntry& entry = it->second;
-      job->checkpoint_digests = entry.checkpoints;
-      if (!entry.checkpoints.empty()) {
-        job->last_ckpt_step = entry.checkpoints.rbegin()->first;
-        job->last_ckpt_digest = entry.checkpoints.rbegin()->second;
-      }
-      job->attempts.store(entry.attempts, std::memory_order_relaxed);
-      job->started_journaled = true;
-      adopted = true;
-      impl_->pending_recovery.erase(it);
-    }
-    if (!adopted) {
-      const FleetJobSpec& s = job->spec;
-      impl_->journal_append(
-          RecordKind::kSubmit, [&s](util::BinaryWriter& out) {
-            out.write_string(s.name);
-            out.write_u64(static_cast<std::uint64_t>(s.target_steps));
-            out.write_string(s.fault_spec);
-            out.write_u32(s.retry.max_attempts);
-            out.write_u32(s.retry.backoff_rounds);
-          });
-    }
-    id = impl_->jobs.size();
-    job->id = id;
-    impl_->jobs.push_back(std::move(job));
-    impl_->ready.push_back(id);
+    id = enqueue(std::move(spec));
   }
   telemetry::counter_add("fleet.submitted");
   impl_->work_cv.notify_one();
   return id;
 }
 
+SimulationFleet::JobId SimulationFleet::enqueue(FleetJobSpec spec) {
+  for (const auto& existing : impl_->jobs) {
+    BD_CHECK_MSG(existing->record.name != spec.name,
+                 "duplicate fleet job name: " << spec.name);
+  }
+  auto job = std::make_unique<Job>();
+  // Adoption: an open journaled record with this name carries its
+  // checkpoints and attempts over; the submit event updates the rest.
+  auto open = impl_->open_records.extract(spec.name);
+  job->record = open ? std::move(open.mapped()) : JobRecord(spec.name);
+  job->factory = std::move(spec.factory);
+  job->on_step = std::move(spec.on_step);
+  if (!options_.spool_dir.empty()) {
+    job->spool_path = options_.spool_dir + "/" + spec.name + ".ckpt";
+  }
+  impl_->commit_locked(*job, submit_event(spec.name, spec.target_steps,
+                                          spec.fault_spec, spec.retry));
+  job->id = impl_->jobs.size();
+  impl_->ready.push_back(job->id);
+  impl_->jobs.push_back(std::move(job));
+  return impl_->jobs.back()->id;
+}
+
 FleetJobStatus SimulationFleet::poll(JobId id) const {
   std::lock_guard<std::mutex> lk(impl_->mu);
   BD_CHECK_MSG(id < impl_->jobs.size(), "unknown fleet job id " << id);
-  const Job& job = *impl_->jobs[id];
-  FleetJobStatus status;
-  status.state = job.state;
-  status.steps_done = job.steps_done.load(std::memory_order_relaxed);
-  status.target_steps = job.spec.target_steps;
-  status.digest = job.digest.load(std::memory_order_relaxed);
-  status.attempts = job.attempts.load(std::memory_order_relaxed);
-  if (fleet_job_terminal(job.state)) status.error = job.error;
-  return status;
+  return impl_->jobs[id]->status();
 }
 
 bool SimulationFleet::cancel(JobId id) {
-  bool removed_spool = false;
   std::string spool;
-  std::string name;
   {
     std::lock_guard<std::mutex> lk(impl_->mu);
     BD_CHECK_MSG(id < impl_->jobs.size(), "unknown fleet job id " << id);
@@ -586,33 +600,15 @@ bool SimulationFleet::cancel(JobId id) {
       return true;
     }
     // Queued/evicted/backoff: finalize immediately and drop it.
-    for (auto it = impl_->ready.begin(); it != impl_->ready.end(); ++it) {
-      if (*it == id) {
-        impl_->ready.erase(it);
-        break;
-      }
-    }
-    for (auto it = impl_->backoff.begin(); it != impl_->backoff.end(); ++it) {
-      if (it->second == id) {
-        impl_->backoff.erase(it);
-        break;
-      }
-    }
-    job.running_sim.store(nullptr, std::memory_order_relaxed);
-    job.sim_live.store(false, std::memory_order_relaxed);
-    job.sim.reset();
+    std::erase(impl_->ready, id);
+    std::erase_if(impl_->backoff,
+                  [id](const auto& entry) { return entry.second == id; });
+    job.release_sim();
     job.state = FleetJobState::kCancelled;
-    name = job.spec.name;
-    impl_->journal_append(RecordKind::kCancel,
-                          [&name](util::BinaryWriter& out) {
-                            out.write_string(name);
-                          });
-    if (!job.spool_path.empty()) {
-      spool = job.spool_path;
-      removed_spool = true;
-    }
+    impl_->commit_locked(job, Event(RecordKind::kCancel, job.record.name));
+    spool = job.spool_path;
   }
-  if (removed_spool) std::remove(spool.c_str());
+  if (!spool.empty()) std::remove(spool.c_str());
   telemetry::counter_add("fleet.cancelled");
   impl_->done_cv.notify_all();
   return true;
@@ -623,29 +619,21 @@ FleetJobStatus SimulationFleet::wait(JobId id) {
   BD_CHECK_MSG(id < impl_->jobs.size(), "unknown fleet job id " << id);
   Job& job = *impl_->jobs[id];
   impl_->done_cv.wait(lk, [&] { return fleet_job_terminal(job.state); });
-  FleetJobStatus status;
-  status.state = job.state;
-  status.steps_done = job.steps_done.load(std::memory_order_relaxed);
-  status.target_steps = job.spec.target_steps;
-  status.digest = job.digest.load(std::memory_order_relaxed);
-  status.attempts = job.attempts.load(std::memory_order_relaxed);
-  status.error = job.error;
-  return status;
+  return job.status();
 }
 
 void SimulationFleet::wait_all() {
   std::unique_lock<std::mutex> lk(impl_->mu);
   impl_->done_cv.wait(lk, [&] {
-    for (const auto& job : impl_->jobs) {
-      if (!fleet_job_terminal(job->state)) return false;
-    }
-    return true;
+    return std::ranges::all_of(impl_->jobs, [](const auto& job) {
+      return fleet_job_terminal(job->state);
+    });
   });
 }
 
 void SimulationFleet::drain() {
   std::unique_lock<std::mutex> lk(impl_->mu);
-  if (impl_->drained) return;
+  if (impl_->stop) return;  // drained (or destroyed) already
   BD_TRACE_SPAN("fleet.drain", "fleet");
   impl_->draining = true;
   // Freeze the queue: nothing new gets scheduled; in-flight quanta see
@@ -653,10 +641,9 @@ void SimulationFleet::drain() {
   impl_->ready.clear();
   impl_->backoff.clear();
   impl_->done_cv.wait(lk, [&] {
-    for (const auto& job : impl_->jobs) {
-      if (job->state == FleetJobState::kRunning) return false;
-    }
-    return true;
+    return std::ranges::none_of(impl_->jobs, [](const auto& job) {
+      return job->state == FleetJobState::kRunning;
+    });
   });
 
   // Checkpoint the remaining resident, non-terminal jobs (queued jobs
@@ -670,31 +657,15 @@ void SimulationFleet::drain() {
   }
   lk.unlock();
   for (Job* job : residents) {
-    if (job->spool_path.empty()) continue;
-    const std::uint64_t step = job->steps_done.load(std::memory_order_relaxed);
-    const std::uint32_t digest = job->digest.load(std::memory_order_relaxed);
-    const std::string& name = job->spec.name;
-    impl_->journal_append(RecordKind::kCheckpoint,
-                          [&](util::BinaryWriter& out) {
-                            out.write_string(name);
-                            out.write_u64(step);
-                            out.write_u32(digest);
-                          });
-    save_checkpoint(*job->sim, job->spool_path);
-    job->checkpoint_digests[step] = digest;
-    job->last_ckpt_step = step;
-    job->last_ckpt_digest = digest;
+    if (!job->spool_path.empty()) impl_->checkpoint(*job);
   }
-  impl_->journal_append(RecordKind::kShutdown, nullptr);
+  impl_->append(Event(RecordKind::kShutdown));
   lk.lock();
   for (Job* job : residents) {
-    job->running_sim.store(nullptr, std::memory_order_relaxed);
-    job->sim_live.store(false, std::memory_order_relaxed);
-    job->sim.reset();
+    job->release_sim();
     if (!job->spool_path.empty()) job->state = FleetJobState::kEvicted;
   }
   impl_->stop = true;
-  impl_->drained = true;
   lk.unlock();
   impl_->work_cv.notify_all();
   if (impl_->driver.joinable()) impl_->driver.join();
@@ -744,21 +715,19 @@ void SimulationFleet::driver_loop() {
     // Release jobs whose backoff expired; when only backoff jobs remain,
     // fast-forward the round counter to the earliest release — rounds are
     // a virtual clock, so an idle fleet never waits wall time for them.
-    auto release_due = [&] {
-      std::stable_sort(impl_->backoff.begin(), impl_->backoff.end());
-      auto it = impl_->backoff.begin();
-      while (it != impl_->backoff.end() &&
-             it->first <= impl_->round_counter) {
-        impl_->ready.push_back(it->second);
-        it = impl_->backoff.erase(it);
-      }
-    };
-    release_due();
-    if (impl_->ready.empty()) {
-      if (impl_->backoff.empty()) continue;
-      impl_->round_counter = impl_->backoff.front().first;
-      release_due();
+    auto& backoff = impl_->backoff;
+    std::ranges::sort(backoff);
+    if (impl_->ready.empty()) {  // then backoff is not (wait predicate)
+      impl_->round_counter =
+          std::max(impl_->round_counter, backoff.front().first);
     }
+    const auto due = std::ranges::find_if(backoff, [&](const auto& entry) {
+      return entry.first > impl_->round_counter;
+    });
+    for (auto it = backoff.begin(); it != due; ++it) {
+      impl_->ready.push_back(it->second);
+    }
+    backoff.erase(backoff.begin(), due);
     // One round: enough lanes to drain the current backlog, capped at the
     // pool width. Lanes loop popping jobs, so a long backlog still drains
     // in a single round; jobs submitted mid-round start the next one.
@@ -773,12 +742,12 @@ void SimulationFleet::driver_loop() {
 void SimulationFleet::run_round(std::size_t lanes) {
   telemetry::counter_add("fleet.rounds");
   BD_TRACE_SPAN("fleet.round", "fleet");
-  const bool watchdog =
-      options_.step_deadline_ms > 0.0 || options_.quantum_deadline_ms > 0.0;
-  if (!watchdog) {
+  const auto run_lanes = [this, lanes] {
     util::parallel_for_chunked(
         0, lanes, 1, [this](std::size_t, std::size_t) { run_lane(); });
-    return;
+  };
+  if (options_.step_deadline_ms <= 0.0 && options_.quantum_deadline_ms <= 0.0) {
+    return run_lanes();
   }
 
   // Watchdog mode: the round runs on a helper thread while this (driver)
@@ -786,9 +755,8 @@ void SimulationFleet::run_round(std::size_t lanes) {
   // cooperative stop request — the owning lane observes it at the next
   // step boundary and routes the job through the retry path.
   std::atomic<bool> round_done{false};
-  std::thread round([this, lanes, &round_done] {
-    util::parallel_for_chunked(
-        0, lanes, 1, [this](std::size_t, std::size_t) { run_lane(); });
+  std::thread round([&run_lanes, &round_done] {
+    run_lanes();
     round_done.store(true, std::memory_order_release);
   });
   const auto step_deadline =
@@ -804,17 +772,13 @@ void SimulationFleet::run_round(std::size_t lanes) {
       if (job.state != FleetJobState::kRunning) continue;
       Simulation* sim = job.running_sim.load(std::memory_order_acquire);
       if (sim == nullptr) continue;
-      bool trip = false;
-      if (step_deadline > 0) {
-        const std::uint64_t t0 =
-            job.step_start_ns.load(std::memory_order_relaxed);
-        trip |= (t0 != 0 && now > t0 && now - t0 > step_deadline);
-      }
-      if (quantum_deadline > 0) {
-        const std::uint64_t t0 =
-            job.quantum_start_ns.load(std::memory_order_relaxed);
-        trip |= (t0 != 0 && now > t0 && now - t0 > quantum_deadline);
-      }
+      const auto overran = [now](const std::atomic<std::uint64_t>& start,
+                                 std::uint64_t deadline) {
+        const std::uint64_t t0 = start.load(std::memory_order_relaxed);
+        return deadline > 0 && t0 != 0 && now > t0 && now - t0 > deadline;
+      };
+      const bool trip = overran(job.step_start_ns, step_deadline) ||
+                        overran(job.quantum_start_ns, quantum_deadline);
       if (trip && !job.watchdog_flagged.exchange(true,
                                                  std::memory_order_relaxed)) {
         sim->request_stop();
@@ -844,19 +808,19 @@ void SimulationFleet::run_quantum(Job& job) {
   // is scoped to the job's private instances via set_telemetry below.
   telemetry::counter_add("fleet.quanta");
   BD_TRACE_SPAN("fleet.quantum", "fleet");
-  const bool watchdog =
-      options_.step_deadline_ms > 0.0 || options_.quantum_deadline_ms > 0.0;
+  // The owning lane reads the record lock-free: only its commits write it.
+  const JobRecord& record = job.record;
 
-  bool failed = false;
-  bool setup_failed = false;
-  bool ladder_exhausted = false;
+  std::string error;
+  bool failed = false;        // step throw or exhausted ladder
+  bool setup_failed = false;  // factory/restore/initialize threw
   if (!job.cancel_requested.load(std::memory_order_relaxed)) {
     try {
       if (!job.sim) {
         setup_failed = true;  // cleared once the sim is ready to step
-        job.sim = job.spec.factory();
+        job.sim = job.factory();
         BD_CHECK_MSG(job.sim != nullptr,
-                     "fleet job '" << job.spec.name
+                     "fleet job '" << record.name
                                    << "': factory returned null");
         job.sim_live.store(true, std::memory_order_relaxed);
         job.sim->set_telemetry(job.metrics.get(), job.trace.get());
@@ -865,12 +829,9 @@ void SimulationFleet::run_quantum(Job& job) {
           // never consumed by a neighbour. The spec's plan wins; an empty
           // spec inherits the process BD_FAULT plan (per-job budget, the
           // job's own seed); the literal "none" opts the job out.
-          std::string spec = job.spec.fault_spec;
-          if (spec.empty()) {
-            if (const char* env = std::getenv("BD_FAULT"); env != nullptr) {
-              spec = env;
-            }
-          }
+          std::string spec = record.fault_spec;
+          const char* env = std::getenv("BD_FAULT");
+          if (spec.empty() && env != nullptr) spec = env;
           if (spec == "none") spec.clear();
           job.harness = std::make_unique<util::faultinject::FaultHarness>();
           job.harness->install(spec, job.sim->config().seed);
@@ -879,14 +840,14 @@ void SimulationFleet::run_quantum(Job& job) {
         if (!job.spool_path.empty() &&
             std::filesystem::exists(job.spool_path)) {
           restore_checkpoint(*job.sim, job.spool_path);
-          const auto step =
-              static_cast<std::size_t>(job.sim->current_step());
-          job.steps_done.store(step, std::memory_order_relaxed);
+          const auto step = static_cast<std::uint64_t>(job.sim->current_step());
+          job.steps_done.store(static_cast<std::size_t>(step),
+                               std::memory_order_relaxed);
           // The journal's digest for this checkpoint, when it has one:
-          // after a retry the in-memory digest has run past the
-          // checkpoint and must rewind with the restored state.
-          if (const auto it = job.checkpoint_digests.find(step);
-              it != job.checkpoint_digests.end()) {
+          // after a retry the in-memory digest must rewind with the
+          // restored state.
+          if (const auto it = record.checkpoints.find(step);
+              it != record.checkpoints.end()) {
             job.digest.store(it->second, std::memory_order_relaxed);
           }
           telemetry::counter_add("fleet.resumes");
@@ -895,395 +856,196 @@ void SimulationFleet::run_quantum(Job& job) {
         }
         job.exhausted_streak = 0;
         setup_failed = false;
-        if (!job.started_journaled) {
-          job.started_journaled = true;
-          const std::string& name = job.spec.name;
-          impl_->journal_append(RecordKind::kStart,
-                                [&name](util::BinaryWriter& out) {
-                                  out.write_string(name);
-                                });
+        if (job.quanta_run == 0) {
+          impl_->commit(job, Event(RecordKind::kStart, record.name));
         }
       }
       ++job.quanta_run;
       job.watchdog_flagged.store(false, std::memory_order_relaxed);
       job.sim->clear_stop();
-      if (watchdog) {
-        job.quantum_start_ns.store(steady_ns(), std::memory_order_relaxed);
-      }
+      job.quantum_start_ns.store(steady_ns(), std::memory_order_relaxed);
       // Release so the watchdog's acquire load sees a fully constructed
       // (or fully restored) Simulation before it calls request_stop().
       job.running_sim.store(job.sim.get(), std::memory_order_release);
 
       std::size_t done = job.steps_done.load(std::memory_order_relaxed);
       std::uint32_t digest = job.digest.load(std::memory_order_relaxed);
-      std::size_t ran = 0;
-      while (ran < options_.quantum_steps &&
-             done < job.spec.target_steps &&
-             !job.cancel_requested.load(std::memory_order_relaxed) &&
-             !job.sim->stop_requested()) {
-        if (watchdog) {
-          job.step_start_ns.store(steady_ns(), std::memory_order_relaxed);
-        }
+      for (std::size_t ran = 0;
+           ran < options_.quantum_steps && done < record.target_steps &&
+           !job.cancel_requested.load(std::memory_order_relaxed) &&
+           !job.sim->stop_requested();
+           ++ran) {
+        job.step_start_ns.store(steady_ns(), std::memory_order_relaxed);
         const StepStats stats = job.sim->step();
         digest = fleet_digest_step(stats, digest);
         ++done;
-        ++ran;
         job.steps_done.store(done, std::memory_order_relaxed);
         job.digest.store(digest, std::memory_order_relaxed);
-        if (stats.health && !stats.health->healthy() &&
-            job.sim->num_tiers() > 1 &&
-            stats.health->tier + 1 >= job.sim->num_tiers()) {
-          // Unhealthy on the last rung: the ladder has nowhere left to
-          // go. A sustained streak is a job-level failure — the retry
-          // path restarts from the last good checkpoint.
-          if (++job.exhausted_streak >=
-              job.sim->config().health.demote_after) {
-            ladder_exhausted = true;
-            job.error = "health ladder exhausted: " +
-                        std::to_string(job.exhausted_streak) +
-                        " unhealthy steps on the last tier (step " +
-                        std::to_string(stats.step) + ")";
-            break;
-          }
-        } else {
-          job.exhausted_streak = 0;
+        // Unhealthy on the last rung: the ladder has nowhere left to go.
+        // A sustained streak is a job-level failure — the retry path
+        // restarts from the last good checkpoint.
+        const bool stuck = stats.health && !stats.health->healthy() &&
+                           job.sim->num_tiers() > 1 &&
+                           stats.health->tier + 1 >= job.sim->num_tiers();
+        job.exhausted_streak = stuck ? job.exhausted_streak + 1 : 0;
+        if (stuck &&
+            job.exhausted_streak >= job.sim->config().health.demote_after) {
+          failed = true;
+          error = "health ladder exhausted: " +
+                  std::to_string(job.exhausted_streak) +
+                  " unhealthy steps on the last tier (step " +
+                  std::to_string(stats.step) + ")";
+          break;
         }
-        if (job.spec.on_step) job.spec.on_step(stats);
+        if (job.on_step) job.on_step(stats);
       }
       job.step_start_ns.store(0, std::memory_order_relaxed);
       job.quantum_start_ns.store(0, std::memory_order_relaxed);
     } catch (const std::exception& e) {
-      job.error = e.what();
+      error = e.what();
       failed = true;
     } catch (...) {
-      job.error = "unknown exception";
+      error = "unknown exception";
       failed = true;
     }
   }
 
   // ------------------------------------------------------------------
-  // Fate. File I/O (journal appends, checkpoints) happens outside the
-  // lock; until the final state is published under Impl::mu the job
-  // stays kRunning and no other lane can claim it. Once a non-terminal
-  // job is requeued another lane may claim it immediately, so everything
-  // after each critical section works from locally captured values.
+  // Fate. Journal commits and spool I/O run outside Impl::mu; until the
+  // new state is published under it the job stays kRunning and no other
+  // lane can claim it.
   // ------------------------------------------------------------------
-  enum class Fate {
-    kFailTerminal,   // setup failure: never retried
-    kRetry,          // step failure / ladder exhaustion / watchdog trip
-    kQuarantine,     // retry budget exhausted
-    kCancelled,
-    kComplete,
-    kWatchdog,       // resolved into kRetry/kQuarantine below
-    kDrainStop,      // draining: checkpoint + park
-    kEvict,
-    kRequeue,
-  };
-
-  const std::string& name = job.spec.name;
-  const bool tripped = job.watchdog_flagged.load(std::memory_order_relaxed);
-  bool keep_spool_on_cancel = false;
-  bool periodic_ckpt = false;
-  Fate fate = Fate::kRequeue;
-  std::size_t resident = 0;
   const auto count_resident = [this] {
     std::size_t n = 0;
     for (const auto& j : impl_->jobs)
       n += j->sim_live.load(std::memory_order_relaxed);
     return n;
   };
+  bool stopping = false;
+  bool over_cap = false;
+  bool draining = false;
   {
     std::lock_guard<std::mutex> lk(impl_->mu);
-    keep_spool_on_cancel = impl_->stopping;
-    if (failed || ladder_exhausted) {
-      fate = setup_failed ? Fate::kFailTerminal : Fate::kRetry;
-    } else if (job.cancel_requested.load(std::memory_order_relaxed)) {
-      fate = Fate::kCancelled;
-    } else if (job.steps_done.load(std::memory_order_relaxed) >=
-               job.spec.target_steps) {
-      fate = Fate::kComplete;
-    } else if (tripped) {
-      fate = Fate::kWatchdog;
-    } else if (impl_->draining) {
-      fate = Fate::kDrainStop;
-    } else if (options_.max_resident > 0 &&
-               count_resident() > options_.max_resident) {
-      fate = Fate::kEvict;
-    } else {
-      fate = Fate::kRequeue;
-      periodic_ckpt = options_.checkpoint_every_quanta > 0 &&
-                      !job.spool_path.empty() &&
-                      job.quanta_run % options_.checkpoint_every_quanta == 0;
-    }
+    stopping = impl_->stopping;
+    draining = impl_->draining;
+    over_cap = options_.max_resident > 0 &&
+               count_resident() > options_.max_resident;
   }
-
-  // Retry accounting (shared by step failures, ladder exhaustion and
-  // watchdog trips): one attempt gone; out of budget => quarantine.
-  if (fate == Fate::kRetry || fate == Fate::kWatchdog) {
-    const std::uint32_t attempts =
-        job.attempts.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (fate == Fate::kWatchdog) {
+  const std::string& name = record.name;
+  const std::uint64_t steps = job.steps_done.load(std::memory_order_relaxed);
+  const bool cancelled = job.cancel_requested.load(std::memory_order_relaxed);
+  const bool tripped = job.watchdog_flagged.load(std::memory_order_relaxed);
+  const auto fail_terminal = [&](const std::string& what) {
+    impl_->commit(job, failure_event(RecordKind::kFailTerminal, name, 0, what));
+    telemetry::counter_add("fleet.failed");
+    return FleetJobState::kFailed;
+  };
+  FleetJobState next = FleetJobState::kQueued;
+  bool backoff = false;  // requeued after backoff_rounds rounds
+  if (failed && setup_failed) {
+    next = fail_terminal(error);  // deterministic: never retried
+  } else if (failed ||
+             (tripped && !cancelled && steps < record.target_steps)) {
+    if (!failed) {  // watchdog trip
       telemetry::counter_add("fleet.watchdog_trips");
-      job.error = "watchdog: step/quantum deadline exceeded at step " +
-                  std::to_string(
-                      job.steps_done.load(std::memory_order_relaxed));
+      error = "watchdog: step/quantum deadline exceeded at step " +
+              std::to_string(steps);
       // The rung that overran is suspect — demote before checkpointing
       // so the retried job resumes one tier down.
       job.sim->demote_tier();
       try {
-        if (!job.spool_path.empty()) {
-          const std::uint64_t step =
-              job.steps_done.load(std::memory_order_relaxed);
-          const std::uint32_t digest =
-              job.digest.load(std::memory_order_relaxed);
-          impl_->journal_append(RecordKind::kCheckpoint,
-                                [&](util::BinaryWriter& out) {
-                                  out.write_string(name);
-                                  out.write_u64(step);
-                                  out.write_u32(digest);
-                                });
-          save_checkpoint(*job.sim, job.spool_path);
-          job.checkpoint_digests[step] = digest;
-          job.last_ckpt_step = step;
-          job.last_ckpt_digest = digest;
-        }
+        if (!job.spool_path.empty()) impl_->checkpoint(job);
       } catch (const std::exception& e) {
-        job.error = std::string("watchdog checkpoint failed: ") + e.what();
+        error = std::string("watchdog checkpoint failed: ") + e.what();
       }
     }
-    fate = attempts >= job.spec.retry.max_attempts ? Fate::kQuarantine
-                                                   : Fate::kRetry;
-    if (fate == Fate::kRetry) {
-      const std::uint32_t attempt = attempts;
-      const std::string& error = job.error;
-      impl_->journal_append(RecordKind::kFailAttempt,
-                            [&](util::BinaryWriter& out) {
-                              out.write_string(name);
-                              out.write_u32(attempt);
-                              out.write_string(error);
-                            });
-    }
-  }
-
-  switch (fate) {
-    case Fate::kFailTerminal: {
-      const std::string& error = job.error;
-      impl_->journal_append(RecordKind::kFailTerminal,
-                            [&](util::BinaryWriter& out) {
-                              out.write_string(name);
-                              out.write_string(error);
-                            });
-      std::lock_guard<std::mutex> lk(impl_->mu);
-      job.running_sim.store(nullptr, std::memory_order_relaxed);
-      job.sim_live.store(false, std::memory_order_relaxed);
-      job.sim.reset();
-      job.state = FleetJobState::kFailed;
-      resident = count_resident();
-      break;
-    }
-
-    case Fate::kQuarantine: {
-      const std::uint32_t attempts =
-          job.attempts.load(std::memory_order_relaxed);
-      const std::string& error = job.error;
-      impl_->journal_append(RecordKind::kQuarantine,
-                            [&](util::BinaryWriter& out) {
-                              out.write_string(name);
-                              out.write_u32(attempts);
-                              out.write_string(error);
-                            });
+    // One attempt gone; out of budget => quarantine.
+    const std::uint32_t attempts = record.attempts + 1;
+    const bool exhausted = attempts >= record.retry.max_attempts;
+    impl_->commit(job, failure_event(exhausted ? RecordKind::kQuarantine
+                                               : RecordKind::kFailAttempt,
+                                     name, attempts, error));
+    if (exhausted) {
       telemetry::counter_add("fleet.quarantined");
-      std::lock_guard<std::mutex> lk(impl_->mu);
-      job.running_sim.store(nullptr, std::memory_order_relaxed);
-      job.sim_live.store(false, std::memory_order_relaxed);
-      job.sim.reset();
-      job.state = FleetJobState::kQuarantined;
-      FleetQuarantineEntry q;
-      q.name = name;
-      q.attempts = attempts;
-      q.error = job.error;
-      // The last good checkpoint stays on disk for postmortem.
-      if (!job.spool_path.empty() &&
-          std::filesystem::exists(job.spool_path)) {
-        q.checkpoint_path = job.spool_path;
-      }
-      impl_->quarantine.push_back(std::move(q));
-      resident = count_resident();
-      break;
-    }
-
-    case Fate::kRetry: {
+      telemetry::counter_add("fleet.failed");
+      next = FleetJobState::kQuarantined;
+    } else {
       telemetry::counter_add("fleet.retries");
-      std::lock_guard<std::mutex> lk(impl_->mu);
-      job.running_sim.store(nullptr, std::memory_order_relaxed);
-      // Restart from the last good spool checkpoint, or from scratch:
-      // the resident sim's state is suspect (it threw mid-step, ran out
-      // of ladder, or overran a deadline and got demoted+checkpointed —
-      // in every case the next attempt rebuilds from durable state).
-      job.sim_live.store(false, std::memory_order_relaxed);
-      job.sim.reset();
-      job.exhausted_streak = 0;
-      job.watchdog_flagged.store(false, std::memory_order_relaxed);
-      const bool have_ckpt = !job.spool_path.empty() &&
-                             std::filesystem::exists(job.spool_path);
-      job.steps_done.store(
-          have_ckpt ? static_cast<std::size_t>(job.last_ckpt_step) : 0,
-          std::memory_order_relaxed);
-      job.digest.store(have_ckpt ? job.last_ckpt_digest : 0,
-                       std::memory_order_relaxed);
-      job.state = FleetJobState::kQueued;
-      impl_->backoff.emplace_back(
-          impl_->round_counter + job.spec.retry.backoff_rounds, job.id);
-      resident = count_resident();
-      break;
+      backoff = true;
     }
-
-    case Fate::kCancelled: {
-      if (!keep_spool_on_cancel) {
-        // Not the dtor path: journal the cancellation (the dtor keeps the
-        // journal untouched so a restart can still recover the job).
-        impl_->journal_append(RecordKind::kCancel,
-                              [&name](util::BinaryWriter& out) {
-                                out.write_string(name);
-                              });
-      }
-      std::lock_guard<std::mutex> lk(impl_->mu);
-      job.running_sim.store(nullptr, std::memory_order_relaxed);
-      job.sim_live.store(false, std::memory_order_relaxed);
-      job.sim.reset();
-      job.state = FleetJobState::kCancelled;
-      resident = count_resident();
-      break;
-    }
-
-    case Fate::kComplete: {
-      const std::uint64_t steps =
-          job.steps_done.load(std::memory_order_relaxed);
-      const std::uint32_t digest = job.digest.load(std::memory_order_relaxed);
-      impl_->journal_append(RecordKind::kComplete,
-                            [&](util::BinaryWriter& out) {
-                              out.write_string(name);
-                              out.write_u64(steps);
-                              out.write_u32(digest);
-                            });
-      std::lock_guard<std::mutex> lk(impl_->mu);
-      job.running_sim.store(nullptr, std::memory_order_relaxed);
-      job.sim_live.store(false, std::memory_order_relaxed);
-      job.sim.reset();
-      job.error.clear();  // a retried-then-successful job reports no error
-      job.state = FleetJobState::kDone;
-      resident = count_resident();
-      break;
-    }
-
-    case Fate::kDrainStop:
-    case Fate::kEvict: {
-      FleetJobState decided = FleetJobState::kEvicted;
-      if (!job.spool_path.empty()) {
-        try {
-          BD_TRACE_SPAN("fleet.evict", "fleet");
-          const std::uint64_t step =
-              job.steps_done.load(std::memory_order_relaxed);
-          const std::uint32_t digest =
-              job.digest.load(std::memory_order_relaxed);
-          // Journal first: if the crash lands between the journal append
-          // and the spool write, recovery restores the *previous* spool
-          // file and finds its digest among the journaled checkpoints.
-          impl_->journal_append(RecordKind::kCheckpoint,
-                                [&](util::BinaryWriter& out) {
-                                  out.write_string(name);
-                                  out.write_u64(step);
-                                  out.write_u32(digest);
-                                });
-          save_checkpoint(*job.sim, job.spool_path);
-          job.checkpoint_digests[step] = digest;
-          job.last_ckpt_step = step;
-          job.last_ckpt_digest = digest;
-          telemetry::counter_add("fleet.evictions");
-        } catch (const std::exception& e) {
-          job.error = e.what();
-          decided = FleetJobState::kFailed;
-        }
-      } else {
-        // No spool: nothing durable to write. An evicting fleet cannot
-        // get here (max_resident requires a spool dir); a draining one
-        // just parks the job resident-in-memory.
-        decided = FleetJobState::kQueued;
-      }
-      std::lock_guard<std::mutex> lk(impl_->mu);
-      if (decided != FleetJobState::kQueued) {
-        job.running_sim.store(nullptr, std::memory_order_relaxed);
-        job.sim_live.store(false, std::memory_order_relaxed);
-        job.sim.reset();
-      }
-      job.state = decided;
-      if (fate == Fate::kEvict && decided == FleetJobState::kEvicted) {
-        impl_->ready.push_back(job.id);
-      }
-      fate = decided == FleetJobState::kFailed ? Fate::kFailTerminal : fate;
-      resident = count_resident();
-      break;
-    }
-
-    case Fate::kRequeue: {
-      if (periodic_ckpt) {
-        try {
-          const std::uint64_t step =
-              job.steps_done.load(std::memory_order_relaxed);
-          const std::uint32_t digest =
-              job.digest.load(std::memory_order_relaxed);
-          impl_->journal_append(RecordKind::kCheckpoint,
-                                [&](util::BinaryWriter& out) {
-                                  out.write_string(name);
-                                  out.write_u64(step);
-                                  out.write_u32(digest);
-                                });
-          save_checkpoint(*job.sim, job.spool_path);
-          job.checkpoint_digests[step] = digest;
-          job.last_ckpt_step = step;
-          job.last_ckpt_digest = digest;
-        } catch (const std::exception& e) {
-          // A failed periodic checkpoint is not fatal to the job — the
-          // previous checkpoint (or none) still bounds the replay.
-          job.error = e.what();
-        }
-      }
-      std::lock_guard<std::mutex> lk(impl_->mu);
-      job.running_sim.store(nullptr, std::memory_order_relaxed);
-      job.state = FleetJobState::kQueued;
-      impl_->ready.push_back(job.id);
-      resident = count_resident();
-      break;
-    }
-
-    case Fate::kWatchdog:
-      break;  // unreachable: resolved into kRetry/kQuarantine above
-  }
-
-  telemetry::gauge_set("fleet.resident", static_cast<double>(resident));
-  switch (fate) {
-    case Fate::kComplete:
-      telemetry::counter_add("fleet.completed");
+  } else if (cancelled) {
+    // The dtor path journals nothing and keeps the spool file, so a
+    // restarted process can still recover the job.
+    if (!stopping) {
+      impl_->commit(job, Event(RecordKind::kCancel, name));
       if (!job.spool_path.empty()) std::remove(job.spool_path.c_str());
-      break;
-    case Fate::kCancelled:
-      telemetry::counter_add("fleet.cancelled");
-      // Keep the spool file while the dtor is tearing the fleet down so a
-      // restarted process can resubmit and resume the job.
-      if (!job.spool_path.empty() && !keep_spool_on_cancel) {
-        std::remove(job.spool_path.c_str());
+    }
+    telemetry::counter_add("fleet.cancelled");
+    next = FleetJobState::kCancelled;
+  } else if (steps >= record.target_steps) {
+    impl_->commit(job, Event(RecordKind::kComplete, name, steps,
+                                 job.digest.load(std::memory_order_relaxed)));
+    if (!job.spool_path.empty()) std::remove(job.spool_path.c_str());
+    telemetry::counter_add("fleet.completed");
+    next = FleetJobState::kDone;
+  } else if ((draining || over_cap) && !job.spool_path.empty()) {
+    // Evict (or, draining, park) into the spool.
+    try {
+      BD_TRACE_SPAN("fleet.evict", "fleet");
+      impl_->checkpoint(job);
+      telemetry::counter_add("fleet.evictions");
+      next = FleetJobState::kEvicted;
+    } catch (const std::exception& e) {
+      next = fail_terminal(e.what());
+    }
+  } else {
+    // Requeue resident. Without a spool a draining fleet parks the job
+    // resident-in-memory (an evicting fleet always has a spool).
+    if (options_.checkpoint_every_quanta > 0 && !job.spool_path.empty() &&
+        job.quanta_run % options_.checkpoint_every_quanta == 0) {
+      try {
+        impl_->checkpoint(job);
+      } catch (const std::exception& e) {
+        // Not fatal to the job — the previous checkpoint (or none)
+        // still bounds the replay.
+        BD_LOG_WARN << "fleet job '" << name
+                    << "': periodic checkpoint failed: " << e.what();
       }
-      break;
-    case Fate::kFailTerminal:
-      telemetry::counter_add("fleet.failed");
-      break;
-    case Fate::kQuarantine:
-      telemetry::counter_add("fleet.failed");
-      break;
-    default:
-      impl_->work_cv.notify_one();
-      break;
+    }
   }
+
+  std::size_t resident = 0;
+  {
+    std::lock_guard<std::mutex> lk(impl_->mu);
+    job.running_sim.store(nullptr, std::memory_order_relaxed);
+    // Only a job requeued as it is keeps its sim resident.
+    const bool resident_requeue = next == FleetJobState::kQueued && !backoff;
+    if (!resident_requeue) job.release_sim();
+    job.state = next;
+    // A draining fleet schedules nothing more: the job stays parked.
+    if ((resident_requeue || next == FleetJobState::kEvicted) &&
+        !impl_->draining) {
+      impl_->ready.push_back(job.id);
+    }
+    if (backoff) {
+      // The sim's state is suspect (it threw mid-step, ran out of ladder,
+      // or overran a deadline): the next attempt rebuilds from durable
+      // state. A restore sets steps and digest from the spool file; with
+      // none, the job starts over from step 0.
+      job.steps_done.store(0, std::memory_order_relaxed);
+      job.digest.store(0, std::memory_order_relaxed);
+      if (!impl_->draining) {
+        impl_->backoff.emplace_back(
+            impl_->round_counter + record.retry.backoff_rounds, job.id);
+      }
+    }
+    if (next == FleetJobState::kQuarantined) {
+      impl_->quarantine.push_back(quarantine_entry(record, job.spool_path));
+    }
+    resident = count_resident();
+  }
+  telemetry::gauge_set("fleet.resident", static_cast<double>(resident));
+  if (!fleet_job_terminal(next)) impl_->work_cv.notify_one();
   // Every quantum end is an observable event: terminal states unblock
   // wait()/wait_all(), and drain() waits for running quanta to settle.
   impl_->done_cv.notify_all();

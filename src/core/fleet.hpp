@@ -44,13 +44,16 @@
 ///
 /// With a `spool_dir`, the fleet is a *supervisor*, not just a scheduler:
 ///
-///  * **Journal** — every submit/start/checkpoint/complete/fail/cancel is
-///    appended to `<spool_dir>/fleet.journal` (CRC-framed WAL,
-///    util/serialize) before the matching state change lands, so a process
-///    crash loses at most the in-flight quantum. A new fleet on the same
-///    spool dir replays the journal at construction, tolerates the torn
-///    tail record a crash leaves, and — when `recovery_factory` is set —
-///    re-enqueues every incomplete job from its last good checkpoint.
+///  * **Journal** — every job-state change is one event, committed by
+///    appending it to `<spool_dir>/fleet.journal` (CRC-framed WAL,
+///    util/serialize) and then applying it to the job's record with the
+///    same `apply(JobRecord, Event)` that replay uses. The append lands
+///    before the change takes effect, so a process crash loses at most the
+///    in-flight quantum. A new fleet on the same spool dir replays the
+///    journal at construction (tolerating the torn tail record a crash
+///    leaves), compacts it to the events that rebuild the open jobs, and —
+///    when `recovery_factory` is set — re-submits every incomplete job from
+///    its last good checkpoint.
 ///  * **Retry + quarantine** — a step exception or an exhausted health
 ///    ladder costs one attempt of the job's RetryPolicy: the supervisor
 ///    restores the last spool checkpoint (re-initializes when none) and
@@ -107,11 +110,12 @@ struct FleetOptions {
   /// one ladder rung, checkpointed, and the trip costs one retry attempt.
   double step_deadline_ms = 0.0;
   double quantum_deadline_ms = 0.0;
-  /// When set, recover() re-enqueues every incomplete journaled job at
+  /// When set, recover() re-submits every incomplete journaled job at
   /// construction, building its Simulation with this factory (the spec's
   /// own factory is not serializable). Without it, incomplete jobs are
   /// only reported via recovered(), and a submit() with a matching name
-  /// adopts the journaled digests/attempts.
+  /// adopts the journaled checkpoints and attempts, and journals its own
+  /// target, fault spec and retry policy.
   std::function<std::unique_ptr<Simulation>(const std::string& name)>
       recovery_factory;
 };
@@ -262,7 +266,8 @@ class SimulationFleet {
   struct Impl;
 
   void recover();
-  void sweep_stale_tmp_files();
+  /// submit() past its argument checks. The caller holds Impl::mu.
+  JobId enqueue(FleetJobSpec spec);
   void driver_loop();
   void run_round(std::size_t lanes);
   void run_lane();

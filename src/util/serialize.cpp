@@ -3,8 +3,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <charconv>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 
 #include "util/check.hpp"
@@ -257,6 +261,35 @@ void write_checked_file(const std::string& path, std::uint32_t magic,
     std::remove(tmp.c_str());
     BD_CHECK_MSG(false, "cannot rename " << tmp << " over " << path);
   }
+}
+
+std::size_t remove_dead_stage_files(const std::string& dir) {
+  namespace fs = std::filesystem;
+  constexpr std::size_t kSweepCap = 1024;
+  std::error_code ec;
+  std::size_t removed = 0;
+  std::size_t scanned = 0;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    if (++scanned > kSweepCap) break;
+    const std::string name = entry.path().filename().string();
+    const auto tag = name.find(".tmp.");
+    if (tag == std::string::npos || !entry.is_regular_file(ec)) continue;
+    // pid = digits between ".tmp." and the next '.' (or end of name).
+    const char* end = name.data() + name.size();
+    long pid = 0;
+    const auto [rest, bad] = std::from_chars(name.data() + tag + 5, end, pid);
+    if (bad != std::errc() || (rest != end && *rest != '.') || pid <= 0 ||
+        pid == static_cast<long>(::getpid())) {
+      continue;
+    }
+    errno = 0;
+    if (::kill(static_cast<pid_t>(pid), 0) == 0 || errno != ESRCH) {
+      continue;  // alive (or not ours to judge) — keep the stage file
+    }
+    fs::remove(entry.path(), ec);
+    if (!ec) ++removed;
+  }
+  return removed;
 }
 
 std::vector<std::byte> read_checked_file(const std::string& path,

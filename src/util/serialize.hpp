@@ -101,6 +101,13 @@ void write_checked_file(const std::string& path, std::uint32_t magic,
                         std::uint32_t version,
                         std::span<const std::byte> payload);
 
+/// Remove the staging files write_checked_file() left in `dir` when its
+/// process crashed mid-write: `<path>.tmp.<pid>.<seq>` whose pid is
+/// verifiably dead (`kill(pid, 0)` fails with ESRCH). Bounded and
+/// best-effort: it scans at most 1024 entries, and leaves unparseable
+/// names and live or foreign pids alone. Returns the number removed.
+std::size_t remove_dead_stage_files(const std::string& dir);
+
 /// Read and validate a checked file: magic, declared payload size and
 /// CRC32 must all match or bd::CheckError is thrown. Returns the payload;
 /// `version_out` receives the stored format version (callers dispatch on

@@ -1,9 +1,10 @@
 /// SimulationFleet: submit/poll/cancel lifecycle, failure containment,
 /// per-job telemetry and fault-harness isolation, eviction + resume
 /// digest identity, resume-on-submit from a pre-existing spool file, and
-/// the supervisor layer — crash-safe journal recovery, checkpoint-based
-/// retry with backoff, quarantine, the quantum watchdog, drain/restart
-/// and the stale-tmp sweep (docs/ROBUSTNESS.md).
+/// the supervisor layer — crash-safe journal recovery (pinned by a golden
+/// v1 journal), checkpoint-based retry with backoff, quarantine, the
+/// quantum watchdog, drain/restart and the stale-tmp sweep
+/// (docs/ROBUSTNESS.md).
 ///
 /// tools/ci.sh reruns this suite under a BD_FAULT sweep: tests that pin
 /// `fault_spec` (or an inert private harness) are immune by design; the
@@ -729,6 +730,241 @@ TEST_F(FleetSpoolTest, DuplicateCompleteRecordsAndResubmitOfDoneName) {
   const core::FleetJobStatus status = fleet.wait(id);
   EXPECT_EQ(status.state, core::FleetJobState::kDone);
   EXPECT_EQ(status.steps_done, 3u);
+}
+
+/// Payload of one v1 journal record, built field by field independently
+/// of the fleet's own encoder.
+struct Record {
+  util::BinaryWriter out;
+  explicit Record(std::uint8_t kind) { out.write_u8(kind); }
+  Record& str(const std::string& s) {
+    out.write_string(s);
+    return *this;
+  }
+  Record& u32(std::uint32_t v) {
+    out.write_u32(v);
+    return *this;
+  }
+  Record& u64(std::uint64_t v) {
+    out.write_u64(v);
+    return *this;
+  }
+  std::vector<std::byte> bytes() const {
+    const auto payload = out.payload();
+    return {payload.begin(), payload.end()};
+  }
+};
+
+TEST_F(FleetSpoolTest, ReplayFoldsEveryRecordKind) {
+  // Record kinds of journal format v1.
+  enum : std::uint8_t {
+    kHeader, kSubmit, kStart, kCheckpoint, kComplete, kFailAttempt,
+    kFailTerminal, kQuarantine, kCancel, kShutdown, kRetryState,
+  };
+  const auto submit = [](const std::string& name, std::uint64_t target,
+                         const std::string& fault, std::uint32_t max_attempts,
+                         std::uint32_t backoff) {
+    return Record(kSubmit).str(name).u64(target).str(fault).u32(max_attempts)
+        .u32(backoff).bytes();
+  };
+  const auto checkpoint = [](const std::string& name, std::uint64_t step,
+                             std::uint32_t digest) {
+    return Record(kCheckpoint).str(name).u64(step).u32(digest).bytes();
+  };
+  const auto retry_state = [](const std::string& name,
+                              std::uint32_t attempts,
+                              const std::string& error) {
+    return Record(kRetryState).str(name).u32(attempts).str(error).bytes();
+  };
+
+  // Six names, records interleaved the way concurrent lanes append them:
+  //   open   — retried twice, two checkpoints, still incomplete
+  //   done   — completed, with a duplicated complete record
+  //   failed — setup failure        poison — quarantined
+  //   gone   — cancelled            again  — done, then resubmitted
+  const std::vector<std::vector<std::byte>> journal = {
+      Record(kHeader).u32(1).bytes(),
+      submit("open", 20, "none", 4, 2),
+      submit("done", 6, "", 3, 1),
+      Record(kStart).str("open").bytes(),
+      Record(kStart).str("done").bytes(),
+      checkpoint("open", 4, 0x1111u),
+      submit("failed", 5, "none", 3, 1),
+      Record(kFailTerminal).str("failed").str("factory returned null").bytes(),
+      checkpoint("done", 2, 0xD2u),
+      Record(kComplete).str("done").u64(6).u32(0xD0u).bytes(),
+      Record(kComplete).str("done").u64(6).u32(0xD0u).bytes(),
+      Record(kFailAttempt).str("open").u32(1).str("boom").bytes(),
+      checkpoint("open", 8, 0x2222u),
+      submit("poison", 8, "pool_throw@2", 2, 1),
+      Record(kStart).str("poison").bytes(),
+      checkpoint("poison", 1, 0x33u),
+      Record(kFailAttempt).str("poison").u32(1).str("e1").bytes(),
+      Record(kQuarantine).str("poison").u32(2).str("e2").bytes(),
+      submit("gone", 10, "none", 3, 1),
+      Record(kCancel).str("gone").bytes(),
+      submit("again", 3, "none", 3, 1),
+      Record(kComplete).str("again").u64(3).u32(0xAAu).bytes(),
+      submit("again", 9, "grid_nan@2", 5, 3),
+      retry_state("open", 2, "boom2"),
+      Record(kShutdown).bytes(),
+  };
+  const std::string path = dir_ + "/fleet.journal";
+  for (const auto& payload : journal) {
+    util::append_journal_record(path, payload);
+  }
+  // The quarantined job's last checkpoint survived on disk.
+  std::ofstream(dir_ + "/poison.ckpt") << "ckpt";
+
+  {
+    core::FleetOptions options;
+    options.spool_dir = dir_;
+    core::SimulationFleet fleet(options);
+    EXPECT_EQ(fleet.job_count(), 0u);
+
+    const auto recovered = fleet.recovered();
+    ASSERT_EQ(recovered.size(), 6u);
+    struct Expected {
+      const char* name;
+      core::FleetJobState state;
+      std::size_t target_steps;
+      std::size_t checkpoint_step;
+      std::uint32_t digest;
+      std::uint32_t attempts;
+      const char* error;
+    };
+    using S = core::FleetJobState;
+    const Expected expected[] = {
+        {"open", S::kQueued, 20, 8, 0x2222u, 2, "boom2"},
+        {"done", S::kDone, 6, 6, 0xD0u, 0, ""},
+        {"failed", S::kFailed, 5, 0, 0, 0, "factory returned null"},
+        {"poison", S::kQuarantined, 8, 1, 0x33u, 2, "e2"},
+        {"gone", S::kCancelled, 10, 0, 0, 0, ""},
+        {"again", S::kQueued, 9, 0, 0, 0, ""},
+    };
+    for (std::size_t i = 0; i < recovered.size(); ++i) {
+      const core::FleetRecoveredJob& job = recovered[i];
+      const Expected& want = expected[i];
+      EXPECT_EQ(job.name, want.name) << i;
+      EXPECT_EQ(job.state, want.state) << want.name;
+      EXPECT_EQ(job.target_steps, want.target_steps) << want.name;
+      EXPECT_EQ(job.checkpoint_step, want.checkpoint_step) << want.name;
+      EXPECT_EQ(job.digest, want.digest) << want.name;
+      EXPECT_EQ(job.attempts, want.attempts) << want.name;
+      EXPECT_EQ(job.error, want.error) << want.name;
+      EXPECT_FALSE(job.resubmitted) << want.name;  // no recovery_factory
+    }
+
+    const auto quarantine = fleet.quarantined();
+    ASSERT_EQ(quarantine.size(), 1u);
+    EXPECT_EQ(quarantine[0].name, "poison");
+    EXPECT_EQ(quarantine[0].attempts, 2u);
+    EXPECT_EQ(quarantine[0].error, "e2");
+    EXPECT_EQ(quarantine[0].checkpoint_path, dir_ + "/poison.ckpt");
+  }
+
+  // Compaction keeps exactly the records that rebuild the open jobs, in
+  // journal order: submit, retry state, then checkpoints by step.
+  const std::vector<std::vector<std::byte>> compacted = {
+      Record(kHeader).u32(1).bytes(),
+      submit("open", 20, "none", 4, 2),
+      retry_state("open", 2, "boom2"),
+      checkpoint("open", 4, 0x1111u),
+      checkpoint("open", 8, 0x2222u),
+      submit("again", 9, "grid_nan@2", 5, 3),
+  };
+  const util::JournalReadResult replay = util::read_journal_records(path);
+  EXPECT_FALSE(replay.truncated_tail);
+  ASSERT_EQ(replay.records.size(), compacted.size());
+  for (std::size_t i = 0; i < compacted.size(); ++i) {
+    EXPECT_EQ(replay.records[i], compacted[i]) << "record " << i;
+  }
+}
+
+TEST_F(FleetSpoolTest, EvictCheckpointFailureIsJournaled) {
+  // Every eviction checkpoint write fails. A job that fails that way is
+  // terminal live, and the journal must say so: a restarted fleet must
+  // not resurrect it as incomplete work.
+  core::FleetJobState live[2] = {};
+  {
+    core::FleetOptions options;
+    options.spool_dir = dir_;
+    options.max_resident = 1;
+    options.quantum_steps = 1;
+    core::SimulationFleet fleet(options);
+    core::SimulationFleet::JobId ids[2];
+    for (int i = 0; i < 2; ++i) {
+      core::FleetJobSpec spec = job_spec("t" + std::to_string(i), 500 + i, 4);
+      spec.fault_spec = "checkpoint_truncate";
+      ids[i] = fleet.submit(std::move(spec));
+    }
+    fleet.wait_all();
+    for (int i = 0; i < 2; ++i) live[i] = fleet.poll(ids[i]).state;
+  }
+  // With two lanes both jobs are over the cap; with one, at least the
+  // second job to go resident is evicted.
+  ASSERT_TRUE(live[0] == core::FleetJobState::kFailed ||
+              live[1] == core::FleetJobState::kFailed);
+
+  core::FleetOptions options;
+  options.spool_dir = dir_;
+  core::SimulationFleet fleet(options);
+  const auto recovered = fleet.recovered();
+  ASSERT_EQ(recovered.size(), 2u);
+  for (const auto& job : recovered) {
+    const int i = job.name.back() - '0';
+    EXPECT_EQ(job.state, live[i]) << job.name;
+    if (live[i] == core::FleetJobState::kFailed) {
+      EXPECT_FALSE(job.error.empty()) << job.name;
+    }
+  }
+}
+
+TEST_F(FleetSpoolTest, AdoptedResubmitIsDurable) {
+  constexpr std::size_t kFirstTarget = 40;
+  constexpr std::size_t kTarget = 60;
+  core::FleetOptions options;
+  options.spool_dir = dir_;
+  options.quantum_steps = 2;
+  options.checkpoint_every_quanta = 1;
+  const auto spec = [](std::size_t target) {
+    core::FleetJobSpec s = job_spec("x", 71, target);
+    s.fault_spec = "none";
+    return s;
+  };
+
+  // Fleet A starts x and is destroyed mid-run (crash-like teardown).
+  {
+    core::SimulationFleet fleet(options);
+    const auto id = fleet.submit(spec(kFirstTarget));
+    while (fleet.poll(id).steps_done < 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  // Fleet B has no recovery_factory: a submit of x adopts the journaled
+  // job with a new target, then the fleet drains.
+  {
+    core::SimulationFleet fleet(options);
+    ASSERT_EQ(fleet.recovered().size(), 1u);
+    EXPECT_EQ(fleet.recovered()[0].target_steps, kFirstTarget);
+    const auto id = fleet.submit(spec(kTarget));
+    while (fleet.poll(id).steps_done < 4) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    fleet.drain();
+  }
+  // Fleet C recovers the adopted spec and runs x to the new target.
+  options.recovery_factory = [](const std::string&) { return build_sim(71); };
+  core::SimulationFleet fleet(options);
+  const auto recovered = fleet.recovered();
+  ASSERT_EQ(recovered.size(), 1u);
+  EXPECT_EQ(recovered[0].state, core::FleetJobState::kQueued);
+  EXPECT_EQ(recovered[0].target_steps, kTarget);
+  ASSERT_TRUE(recovered[0].resubmitted);
+  const core::FleetJobStatus status = fleet.wait(0);
+  EXPECT_EQ(status.state, core::FleetJobState::kDone);
+  EXPECT_EQ(status.steps_done, kTarget);
+  EXPECT_EQ(status.digest, solo_digest(71, kTarget));
 }
 
 TEST_F(FleetSpoolTest, MidJournalCorruptionFailsLoudly) {
