@@ -1,21 +1,21 @@
 /// Clustering-engine benchmark, two phases:
 ///
-///  1. **Solver fidelity** (64² grid, drifting bunch): the full predictive
-///     solver with the coreset/pruned/warm-start clustering accel off
-///     (reference) and on (shipped default). The accel must not trade
-///     forecast quality for speed: its total fallback items must be
-///     identical-or-better, and its per-step clustering time lower.
+///  1. **Solver fidelity** (64² grid, drifting bunch): the shipped
+///     predictive solver (coreset-trained, warm-started clustering). Its
+///     total fallback items are deterministic and gated against the
+///     baseline ceiling, so clustering speed is never bought with
+///     forecast quality.
 ///
 ///  2. **Clustering scaling** (64²/128²/256², synthetic drifting pattern
 ///     fields): per-step cost of RP-CLUSTERING proper. The reference
-///     configuration trains Lloyd on the *full* point set — the paper's
-///     literal O(N·k·d)-per-iteration Algorithm 1, which is what the
-///     host-side clustering cost looks like without subsampling — while
-///     the accel path trains on a 512-point D² coreset with pruned Lloyd
-///     and warm-started centroids. Both pay the same feature build,
-///     balanced assignment and full-set inertia accounting, so the
-///     speedup is what a solver step actually saves. Gates: ≥ 5× faster
-///     at 128² and 256² with identical-or-better full-set inertia.
+///     (`ClusteringAccel::enabled = false`) trains Lloyd cold on the
+///     *full* point set — the paper's literal O(N·k·d)-per-iteration
+///     Algorithm 1 — while the accel path trains on a 512-point D²
+///     coreset with warm-started centroids. Both run the same pruned
+///     Lloyd engine and pay the same feature build, balanced assignment
+///     and full-set inertia accounting, so the speedup is what a solver
+///     step actually saves. Gates: ≥ 5× faster at 128² and 256² with
+///     identical-or-better full-set inertia.
 ///
 /// Writes **BENCH_clustering.json**. Wall times vary with the machine, so
 /// the baseline (`--check-baseline=tools/perf_baseline_clustering.json`)
@@ -40,14 +40,6 @@
 #include "util/timer.hpp"
 
 namespace {
-
-/// Phase-1 measurement of one predictive-solver configuration.
-struct FidelityResult {
-  std::string mode;
-  std::size_t steps = 0;
-  std::uint64_t fallback_items = 0;
-  double clustering_ms_per_step = 0.0;
-};
 
 /// Phase-2 measurement of one grid size.
 struct ScalingResult {
@@ -177,7 +169,6 @@ int main(int argc, char** argv) {
   args.add_int("measure", 4, "phase-1 measured steps");
   args.add_int("steps", 5, "phase-2 measured clustering steps per grid");
   args.add_int("subregions", 16, "phase-2 pattern dimensions");
-  args.add_int("coreset", 512, "phase-2 accel coreset size");
   args.add_string("json", "BENCH_clustering.json", "JSON output path");
   args.add_string("check-baseline", "",
                   "baseline JSON; exit 1 on speedup/inertia/fallback "
@@ -194,38 +185,22 @@ int main(int argc, char** argv) {
   const std::size_t steps = static_cast<std::size_t>(args.get_int("steps"));
   const std::size_t pdim =
       static_cast<std::size_t>(args.get_int("subregions"));
-  const std::size_t coreset =
-      static_cast<std::size_t>(args.get_int("coreset"));
 
-  // --- phase 1: solver fidelity, accel off vs on ---------------------------
+  // --- phase 1: solver fidelity of the shipped solver ---------------------
   std::printf(
       "clustering engine — phase 1: predictive solver fidelity "
       "(%ux%u grid, %zu particles, %zu+%zu steps)\n",
       fidelity_grid, fidelity_grid, particles, warmup, measure);
   const core::SimConfig config = bench::bench_config(
       fidelity_grid, particles, 1e-6, /*rigid=*/false);
-  std::vector<FidelityResult> fidelity;
-  for (const bool accel_on : {false, true}) {
-    core::PredictiveOptions options;
-    options.cluster_accel = accel_on;
-    const bench::SolverMeasurement m =
-        bench::measure_solver("predictive", config, warmup, measure, options);
-    FidelityResult r;
-    r.mode = accel_on ? "accel" : "reference";
-    r.steps = m.steps;
-    r.fallback_items = m.fallback_items;
-    r.clustering_ms_per_step =
-        m.clustering_seconds / static_cast<double>(m.steps) * 1e3;
-    fidelity.push_back(r);
-  }
-  util::ConsoleTable fidelity_table(
-      {"mode", "fallback items", "clustering ms/step"});
-  for (const FidelityResult& r : fidelity) {
-    fidelity_table.cell(r.mode)
-        .cell(static_cast<double>(r.fallback_items), 0)
-        .cell(r.clustering_ms_per_step, 3);
-    fidelity_table.end_row();
-  }
+  const bench::SolverMeasurement fidelity =
+      bench::measure_solver("predictive", config, warmup, measure, {});
+  const double fidelity_cluster_ms =
+      fidelity.clustering_seconds / static_cast<double>(fidelity.steps) * 1e3;
+  util::ConsoleTable fidelity_table({"fallback items", "clustering ms/step"});
+  fidelity_table.cell(static_cast<double>(fidelity.fallback_items), 0)
+      .cell(fidelity_cluster_ms, 3);
+  fidelity_table.end_row();
   fidelity_table.print();
 
   // --- phase 2: clustering scaling, full-set Lloyd vs coreset accel --------
@@ -247,11 +222,10 @@ int main(int argc, char** argv) {
 
     core::RpClusteringOptions reference;
     reference.clusters = r.clusters;
-    reference.balanced = true;
     reference.seed = 42;
     // The paper's Algorithm 1 trains on every point; this is the cost the
     // coreset path is built to avoid.
-    reference.train_subsample = r.points;
+    reference.accel.enabled = false;
     std::size_t ignored_coreset = 0;
     std::size_t ignored_warm = 0;
     run_scaling_mode(grid, pdim, steps, reference, nullptr,
@@ -260,7 +234,6 @@ int main(int argc, char** argv) {
 
     core::RpClusteringOptions accel = reference;
     accel.accel.enabled = true;
-    accel.accel.coreset_size = coreset;
     core::ClusteringCache cache;  // persists across steps → warm starts
     run_scaling_mode(grid, pdim, steps, accel, &cache, r.accel_ms_per_step,
                      r.accel_inertia, r.accel_coreset_size,
@@ -290,21 +263,16 @@ int main(int argc, char** argv) {
   std::fprintf(json,
                "  \"config\": {\"fidelity_grid\": %u, \"particles\": %zu, "
                "\"warmup\": %zu, \"measure\": %zu, \"steps\": %zu, "
-               "\"subregions\": %zu, \"coreset\": %zu},\n",
-               fidelity_grid, particles, warmup, measure, steps, pdim,
-               coreset);
-  std::fprintf(json, "  \"solver_fidelity\": [\n");
-  for (std::size_t i = 0; i < fidelity.size(); ++i) {
-    const FidelityResult& r = fidelity[i];
-    std::fprintf(json,
-                 "    {\"mode\": \"%s\", \"measured_steps\": %zu,\n"
-                 "     \"fallback_items_total\": %llu,\n"
-                 "     \"clustering_ms_per_step\": %.3f}%s\n",
-                 r.mode.c_str(), r.steps,
-                 static_cast<unsigned long long>(r.fallback_items),
-                 r.clustering_ms_per_step,
-                 i + 1 < fidelity.size() ? "," : "");
-  }
+               "\"subregions\": %zu},\n",
+               fidelity_grid, particles, warmup, measure, steps, pdim);
+  std::fprintf(json,
+               "  \"solver_fidelity\": [\n"
+               "    {\"mode\": \"accel\", \"measured_steps\": %zu,\n"
+               "     \"fallback_items_total\": %llu,\n"
+               "     \"clustering_ms_per_step\": %.3f}\n",
+               fidelity.steps,
+               static_cast<unsigned long long>(fidelity.fallback_items),
+               fidelity_cluster_ms);
   std::fprintf(json, "  ],\n  \"scaling\": [\n");
   for (std::size_t i = 0; i < scaling.size(); ++i) {
     const ScalingResult& r = scaling[i];
@@ -330,17 +298,6 @@ int main(int argc, char** argv) {
 
   // --- gates ---------------------------------------------------------------
   int failures = 0;
-  // Fidelity: the accel must never pay more fallback work than the
-  // reference configuration in the same run.
-  if (fidelity.size() == 2 &&
-      fidelity[1].fallback_items > fidelity[0].fallback_items) {
-    std::fprintf(stderr,
-                 "FAIL fidelity: accel fallback items %llu exceed the "
-                 "reference %llu\n",
-                 static_cast<unsigned long long>(fidelity[1].fallback_items),
-                 static_cast<unsigned long long>(fidelity[0].fallback_items));
-    ++failures;
-  }
   for (const ScalingResult& r : scaling) {
     if (r.grid < 128) continue;  // 64² is report-only (training ≈ noise)
     if (r.speedup() < 5.0) {
@@ -378,12 +335,11 @@ int main(int argc, char** argv) {
     } else {
       const unsigned long long limit =
           static_cast<unsigned long long>(base_fallback) / 100ull * 102ull;
-      if (fidelity.size() == 2 && fidelity[1].fallback_items > limit) {
+      if (fidelity.fallback_items > limit) {
         std::fprintf(stderr,
                      "FAIL fidelity: accel fallback items %llu exceed "
                      "baseline %lld (+2%% = %llu)\n",
-                     static_cast<unsigned long long>(
-                         fidelity[1].fallback_items),
+                     static_cast<unsigned long long>(fidelity.fallback_items),
                      base_fallback, limit);
         ++failures;
       }

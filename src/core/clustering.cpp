@@ -13,15 +13,23 @@ namespace bd::core {
 
 namespace {
 
+/// D² coreset draws that train the centroids (accel on).
+constexpr std::size_t kCoresetSize = 512;
+/// Warm-started training whose inertia exceeds the cached inertia by this
+/// factor re-seeds with k-means++ on the same coreset (the patterns
+/// drifted too far for the old centroids to be useful seeds).
+constexpr double kWarmInertiaGrowth = 1.5;
+/// Lloyd iteration cap per clustering call.
+constexpr std::size_t kMaxIterations = 15;
 /// Fixed grain for the inertia reduction (thread-count-independent chunk
 /// boundaries, partials reduced serially in chunk order).
 constexpr std::size_t kInertiaChunk = 2048;
 
 /// Full-set inertia of a fixed assignment: Σ‖x_i − c_{a(i)}‖². This is
-/// the figure of merit both training paths are compared on (the coreset
-/// path optimizes a weighted estimate of it, the stride path a subsample
-/// of it), so ClusterAssignment reports it rather than either training
-/// surrogate. Deterministic at any thread count.
+/// the figure of merit coreset and full-set training are compared on (the
+/// coreset path optimizes a weighted estimate of it), so
+/// ClusterAssignment reports it rather than the training objective.
+/// Deterministic at any thread count.
 double assignment_inertia(std::span<const double> features, std::size_t n,
                           std::size_t dim, std::span<const double> centroids,
                           std::span<const std::uint32_t> assignment) {
@@ -42,48 +50,51 @@ double assignment_inertia(std::span<const double> features, std::size_t n,
   return total;
 }
 
-/// Centroid training shared by rp_clustering and rp_clustering_tiled.
+/// Total pattern variance (per-column variance summed over the first
+/// `pdim` columns) of `n` feature rows of width `dim`; 1 when the
+/// patterns are constant. Scales the coordinate features.
+double pattern_variance(std::span<const double> features, std::size_t n,
+                        std::size_t dim, std::size_t pdim) {
+  std::vector<double> means(pdim, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t d = 0; d < pdim; ++d) means[d] += features[i * dim + d];
+  }
+  for (double& m : means) m /= static_cast<double>(n);
+  double total_var = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t d = 0; d < pdim; ++d) {
+      const double dv = features[i * dim + d] - means[d];
+      total_var += dv * dv;
+    }
+  }
+  total_var /= static_cast<double>(n);
+  return total_var > 0.0 ? total_var : 1.0;
+}
+
+/// Centroid training: D² weighted coreset + warm seeds (accel on), or
+/// cold k-means++ on every row (accel off). One pruned Lloyd engine.
 struct TrainedCentroids {
   ml::KMeansResult result;
-  std::size_t coreset_size = 0;  ///< 0 = legacy stride path
+  std::size_t coreset_size = 0;  ///< 0 = accel off (every row)
   bool warm_started = false;
 };
 
 TrainedCentroids train_centroids(std::span<const double> features,
                                  std::size_t n, std::size_t dim,
                                  std::size_t k, std::uint64_t seed,
-                                 std::size_t train_subsample,
                                  const ClusteringAccel& accel) {
   TrainedCentroids out;
   ml::KMeansConfig config;
   config.clusters = k;
-  config.balanced = false;
   config.seed = seed;
-  config.max_iterations = 15;
-
+  config.max_iterations = kMaxIterations;
   if (!accel.enabled) {
-    // Legacy path, kept bitwise unchanged: train on a stride subsample.
-    const std::size_t sample_target =
-        std::max<std::size_t>(k, std::min(n, train_subsample));
-    const std::size_t stride = std::max<std::size_t>(1, n / sample_target);
-    std::vector<double> sample;
-    sample.reserve((n / stride + 1) * dim);
-    std::size_t sample_count = 0;
-    for (std::size_t i = 0; i < n; i += stride) {
-      sample.insert(sample.end(),
-                    features.begin() + static_cast<std::ptrdiff_t>(i * dim),
-                    features.begin() +
-                        static_cast<std::ptrdiff_t>((i + 1) * dim));
-      ++sample_count;
-    }
-    out.result = ml::kmeans(sample, sample_count, dim, config);
+    out.result = ml::kmeans(features, n, dim, config);
     return out;
   }
 
-  // Accelerated path: D² weighted coreset + pruned Lloyd + warm seeds.
-  config.pruned = true;
   ml::CoresetConfig coreset_config;
-  coreset_config.target_size = accel.coreset_size;
+  coreset_config.target_size = kCoresetSize;
   coreset_config.min_size = k;
   coreset_config.seed = seed ^ 0x9E3779B97F4A7C15ull;
   const ml::Coreset coreset = ml::d2_coreset(features, n, dim, coreset_config);
@@ -100,16 +111,14 @@ TrainedCentroids train_centroids(std::span<const double> features,
                                      coreset.weights, cache->centroids,
                                      config);
     out.warm_started = true;
-    if (out.result.inertia > cache->inertia * accel.warm_inertia_growth) {
-      // The patterns drifted too far for the cached centroids to be
-      // useful seeds — fall back to k-means++ on the same coreset.
-      out.result = ml::kmeans_weighted(rows, coreset.size(), dim,
-                                       coreset.weights, {}, config);
-      out.warm_started = false;
-    }
-  } else {
+  }
+  // No usable cache, or the patterns drifted too far for the cached
+  // centroids to be useful seeds: k-means++ on the same coreset.
+  if (!out.warm_started ||
+      out.result.inertia > cache->inertia * kWarmInertiaGrowth) {
     out.result = ml::kmeans_weighted(rows, coreset.size(), dim,
                                      coreset.weights, {}, config);
+    out.warm_started = false;
   }
   if (cache != nullptr) {
     cache->centroids = out.result.centroids;
@@ -119,15 +128,54 @@ TrainedCentroids train_centroids(std::span<const double> features,
   return out;
 }
 
+/// The steps both clusterings share: train centroids on the feature rows,
+/// balance-assign every row at `capacity`, score the full-set inertia and
+/// build member lists. Row i stands for grid point i, or for the points
+/// `row_points[i]` when that is non-empty (the tiled mapping).
+ClusterAssignment cluster_rows(
+    std::span<const double> features, std::size_t n, std::size_t dim,
+    std::size_t k, std::size_t capacity, std::uint64_t seed,
+    const ClusteringAccel& accel,
+    std::span<const std::vector<std::uint32_t>> row_points) {
+  const TrainedCentroids trained =
+      train_centroids(features, n, dim, k, seed, accel);
+  const std::vector<std::uint32_t> assignment = ml::assign_balanced(
+      features, n, dim, trained.result.centroids, k, capacity);
+
+  ClusterAssignment result;
+  result.members.resize(k);
+  result.inertia = assignment_inertia(features, n, dim,
+                                      trained.result.centroids, assignment);
+  result.kmeans_iterations = trained.result.iterations;
+  result.coreset_size = trained.coreset_size;
+  result.warm_started = trained.warm_started;
+  for (std::size_t i = 0; i < n; ++i) {
+    auto& members = result.members[assignment[i]];
+    if (row_points.empty()) {
+      members.push_back(static_cast<std::uint32_t>(i));
+    } else {
+      members.insert(members.end(), row_points[i].begin(),
+                     row_points[i].end());
+    }
+  }
+  for (const auto& m : result.members) {
+    result.max_cluster_size = std::max(result.max_cluster_size, m.size());
+  }
+  return result;
+}
+
 /// Build the (pattern ⊕ weighted coordinates) feature matrix.
 std::vector<double> build_features(const PatternField& patterns,
                                    std::span<const double> xs,
                                    std::span<const double> ys,
                                    double spatial_weight, std::size_t& dim) {
   const std::size_t n = patterns.points();
+  BD_CHECK_MSG(xs.size() == ys.size() && (xs.empty() || xs.size() == n),
+               "coordinates must both be empty or hold one value per point "
+               "(points " << n << ", xs " << xs.size() << ", ys "
+                          << ys.size() << ")");
   const std::size_t pdim = patterns.subregions();
-  const bool with_coords =
-      spatial_weight > 0.0 && xs.size() == n && ys.size() == n;
+  const bool with_coords = spatial_weight > 0.0 && !xs.empty();
   dim = pdim + (with_coords ? 2 : 0);
 
   std::vector<double> features(n * dim);
@@ -136,23 +184,6 @@ std::vector<double> build_features(const PatternField& patterns,
     std::copy(p.begin(), p.end(), features.begin() + static_cast<std::ptrdiff_t>(i * dim));
   }
   if (!with_coords) return features;
-
-  // Total pattern variance (summed over dimensions).
-  std::vector<double> means(pdim, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto p = patterns.at(i);
-    for (std::size_t d = 0; d < pdim; ++d) means[d] += p[d];
-  }
-  for (double& m : means) m /= static_cast<double>(n);
-  double total_var = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto p = patterns.at(i);
-    for (std::size_t d = 0; d < pdim; ++d) {
-      total_var += (p[d] - means[d]) * (p[d] - means[d]);
-    }
-  }
-  total_var /= static_cast<double>(n);
-  if (total_var <= 0.0) total_var = 1.0;
 
   // Each coordinate feature gets spatial_weight² × half the pattern
   // variance, after normalizing the coordinate to unit variance.
@@ -169,7 +200,8 @@ std::vector<double> build_features(const PatternField& patterns,
   double mx, sx, my, sy;
   coord_stats(xs, mx, sx);
   coord_stats(ys, my, sy);
-  const double scale = spatial_weight * std::sqrt(0.5 * total_var);
+  const double scale = spatial_weight *
+                       std::sqrt(0.5 * pattern_variance(features, n, dim, pdim));
   for (std::size_t i = 0; i < n; ++i) {
     features[i * dim + pdim] = (xs[i] - mx) / sx * scale;
     features[i * dim + pdim + 1] = (ys[i] - my) / sy * scale;
@@ -191,33 +223,8 @@ ClusterAssignment rp_clustering(const PatternField& patterns,
   std::size_t dim = 0;
   const std::vector<double> features =
       build_features(patterns, xs, ys, options.spatial_weight, dim);
-
-  // Train centroids (stride subsample, or coreset/warm-start when the
-  // acceleration is enabled).
-  const TrainedCentroids trained = train_centroids(
-      features, n, dim, k, options.seed, options.train_subsample,
-      options.accel);
-
-  // Balance-assign the full point set to the trained centroids.
-  const std::size_t capacity =
-      options.balanced ? (n + k - 1) / k : 0;
-  const std::vector<std::uint32_t> assignment = ml::assign_balanced(
-      features, n, dim, trained.result.centroids, k, capacity);
-
-  ClusterAssignment result;
-  result.members.resize(k);
-  result.inertia = assignment_inertia(features, n, dim,
-                                      trained.result.centroids, assignment);
-  result.kmeans_iterations = trained.result.iterations;
-  result.coreset_size = trained.coreset_size;
-  result.warm_started = trained.warm_started;
-  for (std::size_t i = 0; i < n; ++i) {
-    result.members[assignment[i]].push_back(static_cast<std::uint32_t>(i));
-  }
-  for (const auto& m : result.members) {
-    result.max_cluster_size = std::max(result.max_cluster_size, m.size());
-  }
-  return result;
+  return cluster_rows(features, n, dim, k, (n + k - 1) / k, options.seed,
+                      options.accel, {});
 }
 
 ClusterAssignment rp_clustering_tiled(const PatternField& patterns,
@@ -254,27 +261,11 @@ ClusterAssignment rp_clustering_tiled(const PatternField& patterns,
     for (std::size_t d = 0; d < pdim; ++d) tile_features[t * fdim + d] /= n;
   }
   if (with_coords) {
-    // Total pattern variance over tiles (for scaling the coordinates).
-    std::vector<double> means(pdim, 0.0);
-    for (std::size_t t = 0; t < num_tiles; ++t) {
-      for (std::size_t d = 0; d < pdim; ++d) {
-        means[d] += tile_features[t * fdim + d];
-      }
-    }
-    for (double& m2 : means) m2 /= static_cast<double>(num_tiles);
-    double total_var = 0.0;
-    for (std::size_t t = 0; t < num_tiles; ++t) {
-      for (std::size_t d = 0; d < pdim; ++d) {
-        const double dv = tile_features[t * fdim + d] - means[d];
-        total_var += dv * dv;
-      }
-    }
-    total_var /= static_cast<double>(num_tiles);
-    if (total_var <= 0.0) total_var = 1.0;
     // Unit-variance tile coordinates, scaled so the two coordinate
     // features carry spatial_weight² × the total pattern variance.
     const double scale =
-        options.spatial_weight * std::sqrt(0.5 * total_var);
+        options.spatial_weight *
+        std::sqrt(0.5 * pattern_variance(tile_features, num_tiles, fdim, pdim));
     const double sx = std::max(1.0, (tiles_x - 1) / std::sqrt(12.0));
     const double sy = std::max(1.0, (tiles_y - 1) / std::sqrt(12.0));
     for (std::size_t t = 0; t < num_tiles; ++t) {
@@ -293,32 +284,8 @@ ClusterAssignment rp_clustering_tiled(const PatternField& patterns,
       std::min(options.max_tiles_per_cluster, (num_tiles + k - 1) / k);
   BD_CHECK_MSG(capacity * k >= num_tiles,
                "tile capacity insufficient: increase clusters");
-
-  // Train centroids on the tiles (stride subsample, or coreset/warm-start
-  // when the acceleration is enabled), then balance-assign all tiles.
-  const TrainedCentroids trained = train_centroids(
-      tile_features, num_tiles, fdim, k, options.seed,
-      options.train_subsample, options.accel);
-  const std::vector<std::uint32_t> tile_assignment = ml::assign_balanced(
-      tile_features, num_tiles, fdim, trained.result.centroids, k, capacity);
-
-  ClusterAssignment result;
-  result.members.resize(k);
-  result.inertia =
-      assignment_inertia(tile_features, num_tiles, fdim,
-                         trained.result.centroids, tile_assignment);
-  result.kmeans_iterations = trained.result.iterations;
-  result.coreset_size = trained.coreset_size;
-  result.warm_started = trained.warm_started;
-  for (std::size_t t = 0; t < num_tiles; ++t) {
-    auto& members = result.members[tile_assignment[t]];
-    members.insert(members.end(), tile_points[t].begin(),
-                   tile_points[t].end());
-  }
-  for (const auto& m : result.members) {
-    result.max_cluster_size = std::max(result.max_cluster_size, m.size());
-  }
-  return result;
+  return cluster_rows(tile_features, num_tiles, fdim, k, capacity,
+                      options.seed, options.accel, tile_points);
 }
 
 ClusterAssignment chunk_clustering(std::size_t points, std::size_t chunk) {

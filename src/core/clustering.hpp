@@ -8,9 +8,10 @@
 /// every cluster fits one thread block exactly.
 ///
 /// Two engineering refinements over a literal k-means call:
-///  * centroids are trained on a subsample (Lloyd is O(n·k·d) per
-///    iteration) and the full point set is then balance-assigned in one
-///    capacity-constrained pass;
+///  * centroids are trained on a 512-draw D² coreset (Lloyd is O(n·k·d)
+///    per iteration), warm-started from the previous step's centroids
+///    when a cache is supplied, and the full point set is then
+///    balance-assigned in one capacity-constrained pass;
 ///  * grid coordinates can be appended as weighted features, so clusters
 ///    of equal access pattern prefer spatially-compact shapes — the
 ///    property that turns pattern similarity into actual coalesced loads
@@ -31,10 +32,10 @@ struct ClusterAssignment {
   std::vector<std::vector<std::uint32_t>> members;
   std::size_t max_cluster_size = 0;
   /// Full-set inertia under the final (balanced) assignment — comparable
-  /// between the legacy and the coreset-accelerated training paths.
+  /// between coreset training and full-set training (accel off).
   double inertia = 0.0;
   std::size_t kmeans_iterations = 0;
-  std::size_t coreset_size = 0;  ///< training points used (0 = stride path)
+  std::size_t coreset_size = 0;  ///< coreset training points (0 = accel off)
   bool warm_started = false;     ///< centroids seeded from the cache
 };
 
@@ -53,38 +54,32 @@ struct ClusteringCache {
   }
 };
 
-/// Acceleration for the centroid-training stage of RP-CLUSTERING: a D²
-/// importance-sampled weighted coreset replaces the stride subsample,
-/// Lloyd runs with triangle-inequality pruning, and (when a cache is
-/// supplied) the previous step's centroids seed the next step — skipping
-/// k-means++ entirely while patterns drift slowly. Off by default: the
-/// legacy stride-subsample path stays the bitwise reference.
+/// Centroid training of RP-CLUSTERING. Enabled (the production path),
+/// Lloyd trains on a D² importance-sampled weighted coreset of 512 draws
+/// and, when a cache is supplied, starts from the previous step's
+/// centroids — skipping k-means++ while patterns drift slowly. Disabled,
+/// Lloyd trains cold on every point and the cache is never touched: the
+/// paper-literal reference that coreset quality is measured against.
 struct ClusteringAccel {
-  bool enabled = false;
-  /// D² coreset draws used for Lloyd training (0 = keep the full set).
-  std::size_t coreset_size = 512;
-  /// Warm-started training whose inertia exceeds the cached inertia by
-  /// this factor re-seeds with k-means++ on the same coreset (the
-  /// patterns drifted too far for the old centroids to be useful seeds).
-  double warm_inertia_growth = 1.5;
+  bool enabled = true;
   /// Optional cross-step centroid cache (nullptr = cold every call).
   ClusteringCache* cache = nullptr;
 };
 
-/// Options for rp_clustering.
+/// Options for rp_clustering. Clusters are always capped at
+/// ceil(points/clusters) members.
 struct RpClusteringOptions {
   std::size_t clusters = 8;
-  bool balanced = true;           ///< cap clusters at ceil(points/clusters)
   std::uint64_t seed = 42;
-  std::size_t train_subsample = 2048;  ///< points used for Lloyd iterations
   /// Relative weight of the spatial features (0 disables them; 1 makes
   /// coordinate variance comparable to total pattern variance).
   double spatial_weight = 0.75;
-  ClusteringAccel accel;  ///< coreset/pruned/warm-start training accel
+  ClusteringAccel accel;
 };
 
 /// Cluster grid points by access pattern (plus optional weighted
-/// coordinates). `xs`/`ys` must be empty or hold one coordinate per point.
+/// coordinates). `xs` and `ys` must both be empty or both hold one
+/// coordinate per point; anything else throws CheckError.
 ClusterAssignment rp_clustering(const PatternField& patterns,
                                 std::span<const double> xs,
                                 std::span<const double> ys,
@@ -104,14 +99,13 @@ struct TiledClusteringOptions {
   std::uint32_t tile_w = 8;        ///< tile width  (points along s)
   std::uint32_t tile_h = 4;        ///< tile height (points along y)
   std::uint64_t seed = 42;
-  std::size_t train_subsample = 2048;
   std::size_t max_tiles_per_cluster = 32;  ///< 32 warps = 1024 threads
   /// Weight of the tile-center coordinates in the clustering features.
   /// Spatially-adjacent tiles share stencil rows (the inner window spans
   /// several cells), so compact clusters turn pattern similarity into
   /// actual L1 sharing between co-resident warps.
   double spatial_weight = 1.0;
-  ClusteringAccel accel;  ///< coreset/pruned/warm-start training accel
+  ClusteringAccel accel;
 };
 ClusterAssignment rp_clustering_tiled(const PatternField& patterns,
                                       const beam::GridSpec& spec,

@@ -53,9 +53,6 @@ PredictiveSolver::PredictiveSolver(simt::DeviceSpec device,
                    options_.observation_ema <= 1.0,
                "PredictiveOptions.observation_ema must be in (0, 1], got "
                    << options_.observation_ema);
-  BD_CHECK_MSG(options_.warm_inertia_growth >= 1.0,
-               "PredictiveOptions.warm_inertia_growth must be >= 1, got "
-                   << options_.warm_inertia_growth);
 }
 
 void PredictiveSolver::reset() {
@@ -256,9 +253,6 @@ SolveResult PredictiveSolver::solve_predictive(const RpProblem& problem) {
       1024);
   const std::size_t m = options_.clusters ? options_.clusters : auto_m;
   ClusteringAccel accel;
-  accel.enabled = options_.cluster_accel;
-  accel.coreset_size = options_.coreset_size;
-  accel.warm_inertia_growth = options_.warm_inertia_growth;
   accel.cache = &cluster_cache_;
   ClusterAssignment clusters;
   if (options_.tiled) {
@@ -276,7 +270,6 @@ SolveResult PredictiveSolver::solve_predictive(const RpProblem& problem) {
     }
     RpClusteringOptions cluster_options;
     cluster_options.clusters = std::min(m, num_points);
-    cluster_options.balanced = options_.balanced_clusters;
     cluster_options.seed = options_.cluster_seed;
     cluster_options.spatial_weight = options_.spatial_weight;
     cluster_options.accel = accel;

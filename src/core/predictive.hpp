@@ -10,7 +10,10 @@
 ///   3. RP-CLUSTERING: k-means over the forecast patterns groups points of
 ///      similar access behaviour; every cluster becomes one thread block
 ///      and its members' partitions are merged (MERGE-LISTS) into a single
-///      shared partition — uniform control flow, maximal data reuse;
+///      shared partition — uniform control flow, maximal data reuse.
+///      Centroids train on a D² coreset, warm-started from the previous
+///      step's centroids (ClusteringAccel), so the host cost the paper's
+///      Table II prices at 2.9 ms/step grows sublinearly in grid area;
 ///   4. COMPUTE-RP-INTEGRAL kernel over the shared partitions;
 ///   5. RP-ADAPTIVEQUADRATURE fallback on intervals that missed τ
 ///      (prediction is a performance hint, never a correctness dependency);
@@ -39,7 +42,6 @@ struct PredictiveOptions {
   std::size_t training_window = 1;   ///< steps of history kept for training
   PartitionTransform transform = PartitionTransform::kUniform;
   std::size_t clusters = 0;          ///< 0 = paper's m = max(N_X, N_Y)
-  bool balanced_clusters = true;     ///< equal-size clusters (block-shaped)
   std::uint64_t cluster_seed = 42;
   /// Weight of grid coordinates in the clustering features (see
   /// RpClusteringOptions::spatial_weight). Only used when tiled = false.
@@ -59,15 +61,6 @@ struct PredictiveOptions {
   /// EMA factor blending new observations into the training targets
   /// (damps refine/coarsen oscillation; 1 = use raw observations).
   double observation_ema = 0.5;
-  /// Coreset/pruned-Lloyd/warm-start clustering acceleration (see
-  /// ClusteringAccel). The per-step host clustering cost is the fixed
-  /// overhead the paper's Table II prices at 2.9 ms/step; with the accel
-  /// it becomes sublinear in grid area. false = legacy stride-subsample
-  /// training (the bitwise reference, used by the ablation benches).
-  bool cluster_accel = true;
-  std::size_t coreset_size = 512;   ///< D² coreset draws (0 = full set)
-  /// Re-seed threshold for warm starts (see ClusteringAccel).
-  double warm_inertia_growth = 1.5;
 };
 
 class PredictiveSolver final : public RpSolver {

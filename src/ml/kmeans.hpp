@@ -3,20 +3,19 @@
 /// k-means clustering (k-means++ initialization, Lloyd iterations) — the
 /// paper's RP-CLUSTERING groups grid points by access-pattern similarity.
 /// The paper notes k-means "prefers clusters of approximately similar size";
-/// a balanced assignment option enforces a hard per-cluster capacity so
-/// clusters map cleanly onto fixed-size thread blocks.
+/// `assign_balanced` enforces a hard per-cluster capacity so clusters map
+/// cleanly onto fixed-size thread blocks.
 ///
-/// Two Lloyd engines sit behind the same entry points:
-///  * the **exact** engine (default) scans all k centroids per point per
-///    iteration — the bitwise reference;
-///  * the **pruned** engine (`KMeansConfig::pruned`) keeps Hamerly-style
-///    upper/lower distance bounds per point, updated by per-iteration
-///    centroid drift, and skips the k-centroid scan whenever the bounds
-///    prove the nearest centroid cannot have changed. Bounds are rounded
-///    conservatively outward, so the pruned engine produces bit-identical
-///    assignments, centroids, inertia and iteration counts to the exact
-///    engine (tests/test_kmeans.cpp locks this in across seeds and dims) —
-///    it only skips arithmetic whose outcome is already decided.
+/// Lloyd runs Hamerly-pruned: per point it keeps an upper bound on the
+/// distance to its assigned centroid and a lower bound on the distance to
+/// every other centroid, widens them by the per-iteration centroid drift,
+/// and skips the k-centroid scan whenever the bounds prove the nearest
+/// centroid cannot have changed. Bounds are rounded conservatively
+/// outward, so the result (assignments, centroids, inertia, iteration
+/// count) is bit-identical to exact Lloyd, which scans every centroid —
+/// tests/test_kmeans.cpp checks this against the exact engine in
+/// tests/oracles/kmeans_exact.hpp. Pruning only skips arithmetic whose
+/// outcome is already decided.
 ///
 /// `kmeans_weighted` additionally accepts per-point weights (so a D²
 /// coreset optimizes the same objective as the full set — see
@@ -35,9 +34,7 @@ namespace bd::ml {
 struct KMeansConfig {
   std::size_t clusters = 8;
   std::size_t max_iterations = 25;
-  double tolerance = 1e-6;       ///< relative inertia improvement to stop
-  bool balanced = false;         ///< enforce ceil(n/k) capacity per cluster
-  bool pruned = false;           ///< triangle-inequality-pruned Lloyd engine
+  double tolerance = 1e-6;  ///< relative inertia improvement to stop
   std::uint64_t seed = 1234;
 };
 
@@ -63,22 +60,17 @@ KMeansResult kmeans(std::span<const double> points, std::size_t count,
 /// coreset optimizes the full-set objective. `initial_centroids` (empty =
 /// k-means++ seeding, else clusters × dim row-major) start Lloyd from the
 /// given centroids without spending any RNG draws — the warm-start path.
-/// Balanced mode supports neither weights nor pruning.
+/// With `max_iterations` 0 the result holds the seeds untouched.
 KMeansResult kmeans_weighted(std::span<const double> points,
                              std::size_t count, std::size_t dim,
                              std::span<const double> weights,
                              std::span<const double> initial_centroids,
                              const KMeansConfig& config);
 
-/// Group point indices by cluster (cluster id -> member list), preserving
-/// point order within each cluster.
-std::vector<std::vector<std::uint32_t>> members_by_cluster(
-    const KMeansResult& result, std::size_t clusters);
-
 /// Capacity-constrained assignment of points to fixed centroids: points
 /// are processed in order of decreasing urgency (gap between their best
 /// and second-best centroid) and go to the nearest centroid with room.
-/// Used to balance clusters trained on a subsample across the full point
+/// Used to balance clusters trained on a coreset across the full point
 /// set. Capacity 0 means unconstrained nearest-centroid assignment.
 std::vector<std::uint32_t> assign_balanced(std::span<const double> points,
                                            std::size_t count, std::size_t dim,

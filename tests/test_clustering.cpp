@@ -54,7 +54,6 @@ TEST(RpClustering, BalancedCapsClusterSize) {
   const PatternField patterns = bimodal_patterns(8, 8);
   RpClusteringOptions options;
   options.clusters = 4;
-  options.balanced = true;
   options.spatial_weight = 0.0;
   const ClusterAssignment a = rp_clustering(patterns, {}, {}, options);
   EXPECT_LE(a.max_cluster_size, 16u);
@@ -64,9 +63,7 @@ TEST(RpClustering, SeparatesDistinctPatternPopulations) {
   const PatternField patterns = bimodal_patterns(8, 8);
   RpClusteringOptions options;
   options.clusters = 2;
-  options.balanced = true;
   options.spatial_weight = 0.0;
-  options.train_subsample = 64;
   const ClusterAssignment a = rp_clustering(patterns, {}, {}, options);
   // Points 0..3 of a row (left half) should share a cluster distinct from
   // points 4..7 (right half).
@@ -175,6 +172,16 @@ TEST(Clustering, ValidatesArguments) {
   PatternField empty;
   RpClusteringOptions options;
   EXPECT_THROW(rp_clustering(empty, {}, {}, options), bd::CheckError);
+  // Coordinates must both be empty or hold one value per point.
+  const PatternField patterns = bimodal_patterns(4, 4);
+  const std::vector<double> full(16, 1.0);
+  const std::vector<double> short_span(15, 1.0);
+  EXPECT_THROW(rp_clustering(patterns, short_span, full, options),
+               bd::CheckError);
+  EXPECT_THROW(rp_clustering(patterns, full, short_span, options),
+               bd::CheckError);
+  EXPECT_THROW(rp_clustering(patterns, full, {}, options), bd::CheckError);
+  EXPECT_NO_THROW(rp_clustering(patterns, full, full, options));
 }
 
 // ---------------------------------------------------------------------------
@@ -284,20 +291,19 @@ PatternField radial_patterns(std::size_t nx, std::size_t ny,
 }
 
 TEST(ClusteringAccel, InertiaWithinBoundOfFullTraining) {
-  // The coreset path trains on ~512 weighted samples instead of the full
-  // stride subsample; the full-set inertia of its final assignment must
-  // stay within a modest factor of the reference path's.
+  // The coreset path trains on ~512 weighted samples instead of every
+  // point; the full-set inertia of its final assignment must stay within
+  // a modest factor of full-set training's.
   const PatternField patterns = radial_patterns(96, 96, 11);
   RpClusteringOptions reference;
   reference.clusters = 16;
   reference.spatial_weight = 0.0;
-  reference.train_subsample = 96 * 96;  // full-set Lloyd reference
+  reference.accel.enabled = false;  // full-set Lloyd reference
   const ClusterAssignment base = rp_clustering(patterns, {}, {}, reference);
   EXPECT_EQ(base.coreset_size, 0u);
 
   RpClusteringOptions accel = reference;
   accel.accel.enabled = true;
-  accel.accel.coreset_size = 512;
   const ClusterAssignment fast = rp_clustering(patterns, {}, {}, accel);
   EXPECT_GT(fast.coreset_size, 0u);
   EXPECT_LE(fast.coreset_size, 512u);
@@ -311,8 +317,6 @@ TEST(ClusteringAccel, WarmStartReusesCachedCentroids) {
   ClusteringCache cache;
   TiledClusteringOptions options;
   options.clusters = 8;
-  options.accel.enabled = true;
-  options.accel.coreset_size = 256;
   options.accel.cache = &cache;
 
   const PatternField step0 = radial_patterns(64, 64, 21);
@@ -336,8 +340,6 @@ TEST(ClusteringAccel, DeterministicAcrossThreadCounts) {
   RpClusteringOptions options;
   options.clusters = 8;
   options.spatial_weight = 0.0;
-  options.accel.enabled = true;
-  options.accel.coreset_size = 256;
 
   util::ThreadPool::set_global_threads(1);
   const ClusterAssignment serial = rp_clustering(patterns, {}, {}, options);

@@ -1,4 +1,5 @@
-/// Tests for k-means clustering (RP-CLUSTERING's engine).
+/// Tests for k-means clustering (RP-CLUSTERING's engine), checked against
+/// exact Lloyd in tests/oracles/.
 
 #include <gtest/gtest.h>
 
@@ -6,7 +7,9 @@
 #include <cmath>
 #include <set>
 
+#include "ml/coreset.hpp"
 #include "ml/kmeans.hpp"
+#include "oracles/kmeans_exact.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/telemetry.hpp"
@@ -75,25 +78,6 @@ TEST(KMeans, DeterministicForSeed) {
   EXPECT_EQ(a.inertia, b.inertia);
 }
 
-TEST(KMeans, BalancedCapsClusterSizes) {
-  util::Rng rng(11);
-  // Heavily imbalanced data: one dense blob, few outliers.
-  std::vector<double> pts;
-  for (int i = 0; i < 90; ++i) {
-    pts.push_back(rng.normal(0.0, 0.1));
-    pts.push_back(rng.normal(0.0, 0.1));
-  }
-  for (int i = 0; i < 10; ++i) {
-    pts.push_back(100.0 + rng.normal(0.0, 0.1));
-    pts.push_back(rng.normal(0.0, 0.1));
-  }
-  KMeansConfig config;
-  config.clusters = 4;
-  config.balanced = true;
-  const KMeansResult r = kmeans(pts, 100, 2, config);
-  for (std::uint32_t size : r.sizes) EXPECT_LE(size, 25u);
-}
-
 TEST(KMeans, SizesSumToCount) {
   util::Rng rng(13);
   const std::vector<double> pts = three_blobs(20, rng);
@@ -123,15 +107,6 @@ TEST(KMeans, ValidatesArguments) {
   EXPECT_THROW(kmeans(pts, 3, 1, config), bd::CheckError);  // size mismatch
 }
 
-TEST(KMeans, MembersByClusterPreservesOrder) {
-  KMeansResult r;
-  r.assignment = {1, 0, 1, 0, 1};
-  r.sizes = {2, 3};
-  const auto members = members_by_cluster(r, 2);
-  EXPECT_EQ(members[0], (std::vector<std::uint32_t>{1, 3}));
-  EXPECT_EQ(members[1], (std::vector<std::uint32_t>{0, 2, 4}));
-}
-
 TEST(AssignBalanced, NearestWhenUnconstrained) {
   const std::vector<double> pts{0.0, 1.0, 9.0, 10.0};
   const std::vector<double> centroids{0.5, 9.5};
@@ -159,7 +134,7 @@ TEST(AssignBalanced, ImpossibleCapacityThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Pruned Lloyd engine (triangle-inequality bounds)
+// Pruned Lloyd (triangle-inequality bounds) against the exact oracle
 // ---------------------------------------------------------------------------
 
 /// Mixed data: blobs plus uniform background, the shape that exercises
@@ -179,32 +154,80 @@ std::vector<double> mixed_points(std::size_t n, std::size_t dim,
 }
 
 TEST(KMeansPruned, BitwiseIdenticalToExact) {
-  // The pruned engine must be indistinguishable from the exact engine —
-  // not approximately: bit-for-bit, across seeds, dimensions and cluster
-  // counts, including iteration counts (same convergence decisions).
+  // Pruned Lloyd must be indistinguishable from exact Lloyd (the oracle)
+  // — not approximately: bit-for-bit, including iteration counts (same
+  // convergence decisions). Covered across seeds, cluster counts and
+  // dimensions up to 18 (the tiled feature width: 16 pattern dims plus 2
+  // coordinates), in every configuration RP-CLUSTERING runs: cold
+  // unweighted, D² coreset weights, warm-started from given centroids,
+  // and a forced empty-cluster re-seed.
+  enum class Start { kCold, kCoreset, kWarm, kReseed };
   for (std::uint64_t seed : {1u, 7u, 42u, 1234u}) {
-    for (std::size_t dim : {1u, 2u, 5u}) {
+    for (std::size_t dim : {1u, 2u, 5u, 18u}) {
       for (std::size_t k : {1u, 3u, 8u}) {
-        util::Rng rng(seed * 131 + dim);
-        const std::size_t n = 300;
-        const std::vector<double> pts = mixed_points(n, dim, rng);
-        KMeansConfig exact;
-        exact.clusters = k;
-        exact.seed = seed;
-        exact.max_iterations = 20;
-        KMeansConfig pruned = exact;
-        pruned.pruned = true;
-        const KMeansResult a = kmeans(pts, n, dim, exact);
-        const KMeansResult b = kmeans(pts, n, dim, pruned);
-        const auto ctx = [&] {
-          return ::testing::Message()
-                 << "seed=" << seed << " dim=" << dim << " k=" << k;
-        };
-        EXPECT_EQ(a.assignment, b.assignment) << ctx();
-        EXPECT_EQ(a.centroids, b.centroids) << ctx();
-        EXPECT_EQ(a.sizes, b.sizes) << ctx();
-        EXPECT_EQ(a.inertia, b.inertia) << ctx();
-        EXPECT_EQ(a.iterations, b.iterations) << ctx();
+        for (Start start :
+             {Start::kCold, Start::kCoreset, Start::kWarm, Start::kReseed}) {
+          util::Rng rng(seed * 131 + dim);
+          std::size_t n = 300;
+          std::vector<double> pts = mixed_points(n, dim, rng);
+          std::vector<double> weights;
+          std::vector<double> init;
+          if (start == Start::kCoreset || start == Start::kWarm) {
+            CoresetConfig coreset_config;
+            coreset_config.target_size = 64;
+            coreset_config.min_size = k;
+            coreset_config.seed = seed;
+            const Coreset coreset = d2_coreset(pts, n, dim, coreset_config);
+            pts = gather_rows(pts, dim, coreset.indices);
+            weights = coreset.weights;
+            n = coreset.size();
+          }
+          if (start == Start::kWarm) {
+            // Seeds near, not on, the data: every step of the warm path.
+            for (std::size_t c = 0; c < k; ++c) {
+              for (std::size_t d = 0; d < dim; ++d) {
+                init.push_back(pts[c * dim + d] + 0.5);
+              }
+            }
+          }
+          if (start == Start::kReseed) {
+            // Centroid 0 sits inside the data, the rest far outside: the
+            // first assignment leaves clusters 1..k-1 empty.
+            init.assign(k * dim, 0.0);
+            for (std::size_t c = 1; c < k; ++c) {
+              for (std::size_t d = 0; d < dim; ++d) {
+                init[c * dim + d] = 1e3 * static_cast<double>(c);
+              }
+            }
+          }
+          KMeansConfig config;
+          config.clusters = k;
+          config.seed = seed;
+          config.max_iterations = 20;
+          const auto ctx = [&] {
+            return ::testing::Message()
+                   << "seed=" << seed << " dim=" << dim << " k=" << k
+                   << " start=" << static_cast<int>(start);
+          };
+          if (start == Start::kReseed) {
+            KMeansConfig first = config;
+            first.max_iterations = 1;
+            const KMeansResult one =
+                oracle::kmeans_exact(pts, n, dim, weights, init, first);
+            for (std::size_t c = 1; c < k; ++c) {
+              ASSERT_EQ(one.sizes[c], 0u) << ctx() << " c=" << c;
+            }
+          }
+          const KMeansResult a =
+              oracle::kmeans_exact(pts, n, dim, weights, init, config);
+          const KMeansResult b =
+              kmeans_weighted(pts, n, dim, weights, init, config);
+          EXPECT_EQ(a.assignment, b.assignment) << ctx();
+          EXPECT_EQ(a.centroids, b.centroids) << ctx();
+          EXPECT_EQ(a.sizes, b.sizes) << ctx();
+          EXPECT_EQ(a.inertia, b.inertia) << ctx();
+          EXPECT_EQ(a.iterations, b.iterations) << ctx();
+        }
       }
     }
   }
@@ -221,7 +244,6 @@ TEST(KMeansPruned, ActuallyPrunesAndCountsDistances) {
     util::telemetry::TelemetryScope scope(&local, nullptr);
     KMeansConfig config;
     config.clusters = 6;
-    config.pruned = true;
     config.max_iterations = 25;
     kmeans(pts, n, 2, config);
     const auto snap = local.snapshot();
@@ -305,15 +327,6 @@ TEST(KMeansWeighted, ValidatesArguments) {
   EXPECT_THROW(kmeans_weighted(pts, 4, 1, {}, std::vector<double>{1.0},
                                config),
                bd::CheckError);
-  // Balanced mode rejects weights and pruning.
-  KMeansConfig balanced = config;
-  balanced.balanced = true;
-  EXPECT_THROW(kmeans_weighted(pts, 4, 1,
-                               std::vector<double>{1.0, 1.0, 1.0, 1.0}, {},
-                               balanced),
-               bd::CheckError);
-  balanced.pruned = true;
-  EXPECT_THROW(kmeans_weighted(pts, 4, 1, {}, {}, balanced), bd::CheckError);
 }
 
 TEST(KMeans, EmptyClusterReseedPicksDistinctPoints) {
