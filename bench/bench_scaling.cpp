@@ -3,15 +3,16 @@
 ///  1. **Solver scaling** — one Predictive-RP scenario run at 1/2/4/N pool
 ///     threads. The dominant cost of every step is lane execution inside
 ///     COMPUTE-RP-INTEGRAL and the adaptive fallback (executor pass 1),
-///     which parallelizes over blocks; forecasting and clustering also run
+///     which parallelizes over warps; forecasting and clustering also run
 ///     on the pool. Results — and every KernelMetrics counter — are
 ///     bit-for-bit identical across thread counts (see
 ///     tests/test_determinism.cpp); only the host wall clock moves.
 ///
 ///  2. **Sharded cache replay** — executor pass 2 in isolation: a
 ///     deterministic synthetic warp workload (per-SM replay streams) is
-///     replayed through per-SM L1s on the pool, then merged SM-major
-///     through the shared L2, at the same thread counts. Every cache
+///     replayed through simt::ShardedReplay, the executor's own pass 2:
+///     per-SM L1s on the pool, then the shared L2 in set-group shards on
+///     the pool, at the same thread counts. Every cache
 ///     counter is checked bitwise against the 1-thread replay; any drift
 ///     fails the run regardless of flags.
 ///
@@ -36,7 +37,6 @@
 #include "beam/history.hpp"
 #include "beam/units.hpp"
 #include "core/predictive.hpp"
-#include "simt/cache.hpp"
 #include "simt/device.hpp"
 #include "simt/metrics.hpp"
 #include "simt/warp.hpp"
@@ -159,29 +159,17 @@ struct ReplayWorkload {
   }
 };
 
-/// Executor pass 2 on the workload at the current pool width: per-SM L1
-/// replay in parallel (recording miss lines), then the serial SM-major L2
-/// merge. Mirrors simt::launch exactly (src/simt/executor.cpp).
-simt::KernelMetrics replay_once(const ReplayWorkload& work) {
-  struct SmShard {
-    simt::KernelMetrics partial;
-    std::vector<std::uint64_t> l2_misses;
-  };
-  const simt::DeviceSpec& spec = work.spec;
-  std::vector<SmShard> shards(spec.num_sms);
-  util::parallel_for(0, spec.num_sms, [&](std::size_t sm) {
-    SmShard& shard = shards[sm];
-    simt::SetAssocCache l1(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways);
-    simt::replay_interleaved_l1(work.streams[sm], spec, l1, shard.partial,
-                                shard.l2_misses);
-  });
+/// Executor pass 2 on the workload at the current pool width, through
+/// simt::ShardedReplay as simt::launch runs it: per-SM L1 replay in
+/// parallel, then the set-sharded L2 merge. `replay` is reused across
+/// calls, as each launching thread reuses its own.
+simt::KernelMetrics replay_once(const ReplayWorkload& work,
+                                const std::vector<simt::SmWarps>& sms,
+                                simt::ShardedReplay& replay) {
+  replay.replay_l1(work.spec, sms);
   simt::KernelMetrics metrics;
-  metrics.warp_size = spec.warp_size;
-  simt::SetAssocCache l2(spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways);
-  for (std::uint32_t sm = 0; sm < spec.num_sms; ++sm) {
-    metrics += shards[sm].partial;
-    simt::replay_l2_lines(shards[sm].l2_misses, spec, l2, metrics);
-  }
+  metrics.warp_size = work.spec.warp_size;
+  replay.merge_l2(metrics);
   return metrics;
 }
 
@@ -201,11 +189,16 @@ struct ReplayResult {
 ReplayResult replay_at(unsigned threads, const ReplayWorkload& work,
                        std::size_t reps) {
   util::ThreadPool::set_global_threads(threads);
+  std::vector<simt::SmWarps> sms;
+  for (const auto& warps : work.streams) {
+    sms.push_back(simt::SmWarps::one_group(warps));
+  }
+  simt::ShardedReplay replay;
   ReplayResult out;
   out.seconds = 1e300;
   for (std::size_t r = 0; r < reps; ++r) {
     util::WallTimer timer;
-    out.metrics = replay_once(work);
+    out.metrics = replay_once(work, sms, replay);
     out.seconds = std::min(out.seconds, timer.seconds());
   }
   return out;

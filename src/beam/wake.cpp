@@ -1,5 +1,6 @@
 #include "beam/wake.hpp"
 
+#include <array>
 #include <cmath>
 
 #include "beam/stencil.hpp"
@@ -11,6 +12,20 @@ namespace bd::beam {
 
 namespace {
 constexpr std::uint32_t kRangeSite = simt::site_id("beam/wake/s-range");
+
+/// The Gauss–Legendre rule of n inner points, computed once per n: the
+/// integrand is constructed for every lane of every launch, and the rule
+/// costs two allocations and a Newton solve.
+const quad::GaussRule& gauss_rule(int n) {
+  static const std::array<quad::GaussRule, kMaxInnerPoints + 1> rules = [] {
+    std::array<quad::GaussRule, kMaxInnerPoints + 1> table;
+    for (int k = 1; k <= kMaxInnerPoints; ++k) {
+      table[static_cast<std::size_t>(k)] = quad::gauss_legendre(k);
+    }
+    return table;
+  }();
+  return rules[static_cast<std::size_t>(n)];
+}
 }  // namespace
 
 WakeModel WakeModel::longitudinal() { return WakeModel{}; }
@@ -57,7 +72,7 @@ WakeIntegrand::WakeIntegrand(const GridHistory& history,
           nc[static_cast<std::size_t>(i)] * inner_width_;
     }
   } else {
-    const quad::GaussRule rule = quad::gauss_legendre(model.inner_points);
+    const quad::GaussRule& rule = gauss_rule(model.inner_points);
     for (int i = 0; i < model.inner_points; ++i) {
       inner_y_[static_cast<std::size_t>(i)] =
           y_point + w * rule.nodes[static_cast<std::size_t>(i)];

@@ -4,6 +4,7 @@
 /// shared L2. Addresses are cache-line granular (the coalescer splits raw
 /// accesses into line touches before calling in here).
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -45,8 +46,39 @@ class SetAssocCache {
                 std::uint32_t ways);
 
   /// Probe and fill: returns true on hit; on miss the line is installed
-  /// with LRU eviction.
-  bool access(std::uint64_t addr);
+  /// with LRU eviction. Inline: the cache replay calls it per access.
+  bool access(std::uint64_t addr) {
+    const std::uint64_t line = addr >> line_shift_;
+    const std::size_t set = static_cast<std::size_t>(line & (num_sets_ - 1));
+    std::uint64_t* tags = &tags_[set * ways_];
+    const std::uint32_t fill = fill_[set];
+
+    // Scan from the most recent line, shifting each one back a slot: a hit
+    // at w leaves the line in front of the w lines that were newer; a miss
+    // shifts the whole set and drops the least recent line when full.
+    std::uint64_t carry = line;
+    for (std::uint32_t w = 0; w < fill; ++w) {
+      const std::uint64_t held = tags[w];
+      tags[w] = carry;
+      if (held == line) {
+        ++stats_.hits;
+        return true;
+      }
+      carry = held;
+    }
+    if (fill < ways_) {
+      tags[fill] = carry;
+      fill_[set] = fill + 1;
+    }
+    ++stats_.misses;
+    return false;
+  }
+
+  /// Number of sets a cache of this geometry has: capacity / (line * ways),
+  /// rounded down to a power of two. Checks the geometry as the
+  /// constructor does.
+  static std::uint32_t sets_for(std::uint32_t capacity_bytes,
+                                std::uint32_t line_bytes, std::uint32_t ways);
 
   /// Invalidate all lines; statistics are kept.
   void flush();

@@ -1,5 +1,7 @@
 #include "simt/executor.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -12,14 +14,20 @@ namespace bd::simt {
 
 namespace {
 
-/// Everything pass 1 produces for one block: the analysis counters of its
-/// warps and the coalesced transaction streams pass 2 replays. Divergence
-/// and coalescing are per-warp properties, so they are computed inside the
-/// parallel pass; only the cache state is global and stays serial.
-struct BlockOutput {
+/// Everything pass 1 produces for one warp: its divergence and coalescing
+/// counters and the coalesced transaction stream pass 2 replays.
+struct WarpOutput {
   KernelMetrics analysis;
-  LineStreams streams;                 ///< every warp's instructions
-  std::vector<std::uint32_t> warp_end; ///< per warp: end in `streams`
+  LineStreams streams;
+};
+
+/// The buffers of a thread's launches, reused from launch to launch so
+/// they stop allocating after warm-up. launch() never runs nested on one
+/// thread: kernel lanes do not launch kernels.
+struct LaunchBuffers {
+  std::vector<WarpOutput> warps;
+  std::vector<SmWarps> sms;
+  ShardedReplay replay;
 };
 
 }  // namespace
@@ -31,6 +39,10 @@ KernelMetrics launch(const DeviceSpec& spec, const LaunchConfig& config,
                    config.threads_per_block <= spec.max_threads_per_block,
                "threads per block out of range");
   BD_CHECK(kernel != nullptr);
+  const std::uint32_t warps_per_block = config.warps_per_block(spec.warp_size);
+  const std::size_t num_warps = config.num_warps(spec.warp_size);
+  BD_CHECK_MSG(num_warps <= std::numeric_limits<std::uint32_t>::max(),
+               "launch exceeds 2^32 warps");
 
   // Purely observational: spans/counters never feed back into the model,
   // so captured and uncaptured runs produce bit-identical KernelMetrics
@@ -42,126 +54,95 @@ KernelMetrics launch(const DeviceSpec& spec, const LaunchConfig& config,
                   static_cast<std::uint64_t>(config.threads_per_block));
   telemetry::counter_add("simt.launches");
 
-  const std::uint32_t warps_per_block =
-      (config.threads_per_block + spec.warp_size - 1) / spec.warp_size;
   const std::uint32_t resident = std::max<std::uint32_t>(
       1, spec.resident_warps_per_sm / warps_per_block);
 
-  // Block outputs come from a pool owned by the launching thread and
-  // reused across its launches, so their stream buffers stop allocating
-  // after warm-up. launch() never runs nested on one thread: kernel lanes
-  // do not launch kernels.
-  thread_local std::vector<BlockOutput> block_pool;
-  if (block_pool.size() < config.num_blocks) {
-    block_pool.resize(config.num_blocks);
-  }
-  const std::span<BlockOutput> blocks(block_pool.data(), config.num_blocks);
+  // A named reference: a lambda naming the thread_local itself would
+  // reach the running worker's instance, not the launching thread's.
+  thread_local LaunchBuffers launch_buffers;
+  LaunchBuffers& buffers = launch_buffers;
+  if (buffers.warps.size() < num_warps) buffers.warps.resize(num_warps);
+  if (buffers.sms.size() < spec.num_sms) buffers.sms.resize(spec.num_sms);
 
   // --- Pass 1 (parallel): execute lanes, align them into warps ----------
-  // One task per block. Lanes within a block run serially in lane order on
-  // one thread; lanes from different blocks may run concurrently (the
-  // contract kernels must obey, see executor.hpp). Each lane runs straight
-  // into the worker's WarpRecorder, which aligns it with the warp's
-  // earlier lanes as it goes; the task accumulates divergence/coalescing
-  // counters into a private KernelMetrics, so pass 1 shares no mutable
-  // state between tasks.
+  // One task per warp. A warp's lanes run serially in lane order on one
+  // thread; lanes of different warps may run concurrently (the contract
+  // kernels must obey, see executor.hpp). Each lane runs straight into the
+  // worker's WarpRecorder, which aligns it with the warp's earlier lanes as
+  // it goes; the task writes only its warp's output, so pass 1 shares no
+  // mutable state between tasks. Warp-sized tasks keep the pool balanced
+  // when blocks are few or uneven.
   telemetry::TraceSession& session = telemetry::current_trace();
-  const double lane_pass_start = session.enabled() ? session.now_us() : 0.0;
-  util::parallel_for(0, config.num_blocks, [&](std::size_t b) {
-    BlockOutput& out = blocks[b];
-    out.analysis = KernelMetrics{};
-    out.streams.clear();
-    out.warp_end.clear();
-    const auto block = static_cast<std::uint32_t>(b);
-    WarpRecorder& recorder = worker_recorder();
-    for (std::uint32_t warp = 0; warp < warps_per_block; ++warp) {
-      const std::uint32_t lane_begin = warp * spec.warp_size;
-      const std::uint32_t lane_end = std::min(
-          lane_begin + spec.warp_size, config.threads_per_block);
-      recorder.begin_warp(spec);
-      for (std::uint32_t t = lane_begin; t < lane_end; ++t) {
-        recorder.begin_lane();
-        ThreadCtx ctx;
-        ctx.block_id = block;
-        ctx.thread_id = t;
-        ctx.global_id = block * config.threads_per_block + t;
-        kernel(ctx, recorder);
-      }
-      recorder.end_warp(out.analysis, out.streams);
-      out.warp_end.push_back(static_cast<std::uint32_t>(out.streams.size()));
-    }
-  });
-  if (session.enabled()) {
-    session.record_complete("simt.lane_pass", "simt", lane_pass_start,
-                            session.now_us() - lane_pass_start, "");
-  }
-  const double replay_start = session.enabled() ? session.now_us() : 0.0;
+  double stage_start = session.enabled() ? session.now_us() : 0.0;
+  const auto end_stage = [&](const char* name) {
+    if (!session.enabled()) return;
+    const double now = session.now_us();
+    session.record_complete(name, "simt", stage_start, now - stage_start, "");
+    stage_start = now;
+  };
+  util::parallel_for_chunked(
+      0, num_warps, 1, [&](std::size_t lo, std::size_t hi) {
+        WarpRecorder& recorder = worker_recorder();
+        for (std::size_t w = lo; w < hi; ++w) {
+          const auto warp = static_cast<std::uint32_t>(w);
+          const std::uint32_t block = warp / warps_per_block;
+          const std::uint32_t lane_begin =
+              (warp % warps_per_block) * spec.warp_size;
+          const std::uint32_t lane_end = std::min(
+              lane_begin + spec.warp_size, config.threads_per_block);
+          WarpOutput& out = buffers.warps[w];
+          out.analysis = KernelMetrics{};
+          out.streams.clear();
+          recorder.begin_warp(spec);
+          for (std::uint32_t t = lane_begin; t < lane_end; ++t) {
+            recorder.begin_lane();
+            ThreadCtx ctx;
+            ctx.block_id = block;
+            ctx.thread_id = t;
+            ctx.global_id = block * config.threads_per_block + t;
+            ctx.warp_id = warp;
+            kernel(ctx, recorder);
+          }
+          recorder.end_warp(out.analysis, out.streams);
+        }
+      });
+  end_stage("simt.lane_pass");
 
-  // --- Pass 2 (sharded): replay memory traffic through the caches -------
+  // --- Pass 2 (parallel): replay memory traffic through the caches -------
   // Blocks are distributed round-robin over SMs (block b runs on SM
   // b % num_sms); on each SM, groups of `resident` consecutive blocks are
   // co-resident and their warps' streams interleave in the private L1.
-  //
-  // Per-SM L1 state is independent, so stage 2a replays every SM's L1 in
-  // parallel on the thread pool, each shard accumulating its own metrics
-  // partial and recording the line address of every L1 miss in replay
-  // order. Stage 2b then merges serially in SM index order: partials are
-  // integer sums (order-insensitive), and feeding each SM's miss stream
-  // through the shared L2 SM-major reproduces the serial executor's L2
-  // access order exactly — the serial replay was SM-major already. Every
-  // cache transition, and therefore KernelMetrics, stays bit-for-bit
-  // independent of BD_NUM_THREADS and of pass-1/2a scheduling.
-  struct SmShard {
-    KernelMetrics partial;
-    std::vector<std::uint64_t> l2_misses;
-  };
-  const std::uint32_t num_shards =
-      std::min<std::uint32_t>(spec.num_sms, config.num_blocks);
-  std::vector<SmShard> shards(spec.num_sms);
-  util::parallel_for(0, spec.num_sms, [&](std::size_t sm_idx) {
-    const auto sm = static_cast<std::uint32_t>(sm_idx);
-    SmShard& shard = shards[sm_idx];
-    SetAssocCache l1(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways);
-    std::vector<std::uint32_t> my_blocks;
-    for (std::uint32_t block = sm; block < config.num_blocks;
-         block += spec.num_sms) {
-      my_blocks.push_back(block);
-    }
-    std::vector<WarpStream> warps;
-    for (std::size_t chunk = 0; chunk < my_blocks.size();
-         chunk += resident) {
-      const std::size_t chunk_end =
-          std::min(my_blocks.size(), chunk + resident);
-      warps.clear();
-      for (std::size_t bi = chunk; bi < chunk_end; ++bi) {
-        const BlockOutput& out = blocks[my_blocks[bi]];
-        shard.partial += out.analysis;
-        std::uint32_t begin = 0;
-        for (const std::uint32_t end : out.warp_end) {
-          warps.push_back(WarpStream{out.streams.offsets().data() + begin,
-                                     out.streams.lines().data(),
-                                     end - begin});
-          begin = end;
-        }
-      }
-      replay_streams_l1(warps, l1, shard.partial, shard.l2_misses);
-    }
-  });
-
+  // The analysis counters are integer sums, so their order is free.
   KernelMetrics metrics;
   metrics.warp_size = spec.warp_size;
-  SetAssocCache l2(spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways);
+  for (std::size_t w = 0; w < num_warps; ++w) {
+    metrics += buffers.warps[w].analysis;
+  }
+  const std::span<SmWarps> sms(buffers.sms.data(), spec.num_sms);
   for (std::uint32_t sm = 0; sm < spec.num_sms; ++sm) {
-    metrics += shards[sm].partial;
-    replay_l2_lines(shards[sm].l2_misses, spec, l2, metrics);
+    SmWarps& work = sms[sm];
+    work.clear();
+    std::uint32_t in_group = 0;
+    for (std::uint32_t block = sm; block < config.num_blocks;
+         block += spec.num_sms) {
+      const std::size_t first = static_cast<std::size_t>(block) *
+                                warps_per_block;
+      for (std::size_t w = first; w < first + warps_per_block; ++w) {
+        work.warps.push_back(WarpStream::of(buffers.warps[w].streams));
+      }
+      if (++in_group == resident || block + spec.num_sms >= config.num_blocks) {
+        work.group_end.push_back(static_cast<std::uint32_t>(work.warps.size()));
+        in_group = 0;
+      }
+    }
   }
-
-  if (session.enabled()) {
-    session.record_complete("simt.cache_replay", "simt", replay_start,
-                            session.now_us() - replay_start, "");
-  }
-  telemetry::histogram_record("simt.replay_shards",
-                              static_cast<double>(num_shards));
+  buffers.replay.replay_l1(spec, sms);
+  end_stage("simt.l1_replay");
+  buffers.replay.merge_l2(metrics);
+  end_stage("simt.l2_merge");
+  telemetry::histogram_record(
+      "simt.replay_shards",
+      static_cast<double>(std::min(spec.num_sms, config.num_blocks)));
 
   apply_time_model(metrics, spec);
 

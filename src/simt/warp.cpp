@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "util/check.hpp"
+#include "util/parallel.hpp"
 
 namespace bd::simt {
 
@@ -67,8 +68,11 @@ void WarpRecorder::begin_lane() {
 
 void WarpRecorder::load_run(std::uint32_t site, const void* const* addrs,
                             std::uint32_t bytes, std::size_t count) {
+  if (count == 0) return;
+  Site& run_site = load_sites_.find(site);
   for (std::size_t i = 0; i < count; ++i) {
-    record_load(site, reinterpret_cast<std::uint64_t>(addrs[i]), bytes);
+    record_site_load(run_site, reinterpret_cast<std::uint64_t>(addrs[i]),
+                     bytes);
   }
 }
 
@@ -200,13 +204,19 @@ WarpReplay analyze_warp_groups(const std::vector<const LaneTrace*>& traces,
 
 // ---- cache replay ----------------------------------------------------------
 
-void replay_streams_l1(std::span<const WarpStream> warps, SetAssocCache& l1,
-                       KernelMetrics& out,
-                       std::vector<std::uint64_t>& l2_misses) {
-  // Round r issues instruction r of every warp that still has one, in warp
-  // order. `active` holds those warps; finished ones drop out in place.
-  std::vector<WarpStream> active;
-  active.reserve(warps.size());
+namespace {
+
+/// The one L1 replay loop: warps interleave round-robin, one instruction
+/// per warp per round in warp order, so round r issues instruction r of
+/// every warp that still has one. Hits and misses go to `stats`, and every
+/// miss line goes to on_miss in replay order. `active` is scratch.
+template <typename OnMiss>
+void replay_round_robin(std::span<const WarpStream> warps, SetAssocCache& l1,
+                        CacheStats& stats, std::vector<WarpStream>& active,
+                        OnMiss&& on_miss) {
+  // `active` holds the warps with instructions left; finished ones drop
+  // out in place.
+  active.clear();
   for (const WarpStream& w : warps) {
     if (w.count > 0) active.push_back(w);
   }
@@ -216,29 +226,16 @@ void replay_streams_l1(std::span<const WarpStream> warps, SetAssocCache& l1,
       for (std::uint32_t i = w.offsets[r]; i < w.offsets[r + 1]; ++i) {
         const std::uint64_t line = w.lines[i];
         if (l1.access(line)) {
-          ++out.l1.hits;
+          ++stats.hits;
         } else {
-          ++out.l1.misses;
-          l2_misses.push_back(line);
+          ++stats.misses;
+          on_miss(line);
         }
       }
       if (r + 1 < w.count) active[keep++] = w;
     }
     active.resize(keep);
   }
-}
-
-namespace {
-
-std::vector<WarpStream> streams_of(const std::vector<WarpReplay>& replays) {
-  std::vector<WarpStream> warps;
-  warps.reserve(replays.size());
-  for (const WarpReplay& replay : replays) {
-    const LineStreams& s = replay.instructions;
-    warps.push_back(
-        WarpStream{s.offsets().data(), s.lines().data(), s.size()});
-  }
-  return warps;
 }
 
 }  // namespace
@@ -248,7 +245,127 @@ void replay_interleaved_l1(const std::vector<WarpReplay>& replays,
                            KernelMetrics& out,
                            std::vector<std::uint64_t>& l2_misses) {
   (void)spec;
-  replay_streams_l1(streams_of(replays), l1, out, l2_misses);
+  std::vector<WarpStream> warps, active;
+  warps.reserve(replays.size());
+  for (const WarpReplay& replay : replays) {
+    warps.push_back(WarpStream::of(replay.instructions));
+  }
+  replay_round_robin(warps, l1, out.l1, active,
+                     [&](std::uint64_t line) { l2_misses.push_back(line); });
+}
+
+// ---- ShardedReplay ---------------------------------------------------------
+
+SmWarps SmWarps::one_group(const std::vector<WarpReplay>& replays) {
+  SmWarps sm;
+  sm.warps.reserve(replays.size());
+  for (const WarpReplay& replay : replays) {
+    sm.warps.push_back(WarpStream::of(replay.instructions));
+  }
+  sm.group_end.push_back(static_cast<std::uint32_t>(sm.warps.size()));
+  return sm;
+}
+
+void ShardedReplay::replay_l1(const DeviceSpec& spec,
+                              std::span<const SmWarps> sms) {
+  BD_CHECK_MSG(sms.size() == spec.num_sms, "replay needs one SmWarps per SM");
+  BD_CHECK_MSG(std::has_single_bit(spec.l1_line_bytes),
+               "line size must be a power of two");
+  const Geometry geometry{spec.num_sms, spec.l1_bytes,  spec.l1_line_bytes,
+                          spec.l1_ways, spec.l2_bytes,  spec.l2_line_bytes,
+                          spec.l2_ways};
+  if (geometry == geometry_) {
+    for (Sm& sm : sms_) sm.l1.flush();
+    for (Shard& shard : shard_state_) shard.groups.flush();
+  } else {
+    // An L1 line covers line_sectors consecutive L2 sectors. With at
+    // least that many sets it fills a group of group_sets_ consecutive
+    // sets, one sector each; otherwise it wraps around all the sets,
+    // keys_per_line_ sectors each. Shards take the groups round-robin.
+    const std::uint32_t sets = SetAssocCache::sets_for(
+        spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways);
+    const std::uint32_t line_sectors =
+        std::max<std::uint32_t>(1, spec.l1_line_bytes / spec.l2_line_bytes);
+    group_sets_ = std::min(line_sectors, sets);
+    keys_per_line_ = line_sectors / group_sets_;
+    group_shift_ =
+        static_cast<std::uint32_t>(std::countr_zero(spec.l2_line_bytes) +
+                                   std::countr_zero(group_sets_));
+    const std::uint32_t groups = sets / group_sets_;
+    shards_ = std::min(kL2Shards, groups);
+    shard_bits_ = static_cast<std::uint32_t>(std::countr_zero(shards_));
+    sms_.resize(spec.num_sms);
+    for (Sm& sm : sms_) {
+      sm.l1 = SetAssocCache(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways);
+    }
+    shard_state_.resize(shards_);
+    for (Shard& shard : shard_state_) {
+      shard.groups =
+          SetAssocCache(groups / shards_ * spec.l2_ways, 1, spec.l2_ways);
+    }
+    buckets_.resize(static_cast<std::size_t>(spec.num_sms) * shards_);
+    geometry_ = geometry;
+  }
+  for (std::vector<std::uint64_t>& bucket : buckets_) bucket.clear();
+
+  const std::uint64_t align_mask = spec.l1_line_bytes - 1;
+  const std::uint32_t group_shift = group_shift_;
+  const std::uint64_t shard_mask = shards_ - 1;
+  util::parallel_for_chunked(
+      0, spec.num_sms, 1, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t sm = lo; sm < hi; ++sm) {
+          Sm& state = sms_[sm];
+          std::vector<std::uint64_t>* buckets = &buckets_[sm * shards_];
+          const SmWarps& work = sms[sm];
+          CacheStats stats;
+          std::uint32_t begin = 0;
+          for (const std::uint32_t end : work.group_end) {
+            replay_round_robin(
+                {work.warps.data() + begin, end - begin}, state.l1, stats,
+                state.active, [&](std::uint64_t line) {
+                  BD_CHECK_MSG((line & align_mask) == 0,
+                               "replay lines must be L1-line aligned");
+                  buckets[(line >> group_shift) & shard_mask].push_back(line);
+                });
+            begin = end;
+          }
+          state.stats = stats;
+        }
+      });
+}
+
+void ShardedReplay::merge_l2(KernelMetrics& out) {
+  // Within a shard the group number without the shard bits is one-to-one,
+  // and its low bits index the shard's sets. A line wrapping around the
+  // sets (keys_per_line_ > 1, hence one group and one shard) puts its
+  // sectors j, j + sets, ... in each set: keys group + 0, 1, ...
+  util::parallel_for_chunked(0, shards_, 1, [&](std::size_t lo,
+                                                std::size_t hi) {
+    for (std::size_t s = lo; s < hi; ++s) {
+      SetAssocCache& cache = shard_state_[s].groups;
+      CacheStats stats;
+      for (std::uint32_t sm = 0; sm < geometry_.num_sms; ++sm) {
+        for (const std::uint64_t line : buckets_[sm * shards_ + s]) {
+          const std::uint64_t key = line >> group_shift_ >> shard_bits_;
+          for (std::uint32_t k = 0; k < keys_per_line_; ++k) {
+            if (cache.access(key + k)) {
+              ++stats.hits;
+            } else {
+              ++stats.misses;
+            }
+          }
+        }
+      }
+      shard_state_[s].stats = stats;
+    }
+  });
+  for (const Sm& sm : sms_) out.l1 += sm.stats;
+  for (const Shard& shard : shard_state_) {
+    out.l2.hits += shard.stats.hits * group_sets_;
+    out.l2.misses += shard.stats.misses * group_sets_;
+    out.dram_bytes +=
+        shard.stats.misses * group_sets_ * geometry_.l2_line;
+  }
 }
 
 void replay_l2_lines(const std::vector<std::uint64_t>& lines,

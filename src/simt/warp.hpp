@@ -111,28 +111,11 @@ class WarpRecorder final : public LaneProbe {
   void loop_trip(std::uint32_t site, std::uint64_t trips) override;
   void branch(std::uint32_t site, bool taken) override;
 
-  /// One load of `bytes` at virtual address `addr`; load() and load_run()
-  /// forward here, and analyze_warp_groups replays LoadEvents through it.
+  /// One load of `bytes` at virtual address `addr`; load() forwards here,
+  /// and analyze_warp_groups replays LoadEvents through it.
   void record_load(std::uint32_t site, std::uint64_t addr,
                    std::uint32_t bytes) {
-    const std::uint32_t g =
-        load_sites_.find(site).next_slot(load_groups_.size());
-    if (g == load_groups_.size()) load_groups_.push_back(LoadGroup{0, 0});
-    ++load_events_;
-    load_bytes_ += bytes;
-    if (bytes == 0) return;
-    LoadGroup& group = load_groups_[g];
-    const std::uint64_t last = (addr + bytes - 1) & line_mask_;
-    for (std::uint64_t line = addr & line_mask_;; line += line_bytes_) {
-      // Neighbouring lanes mostly touch the line their predecessor
-      // touched; dropping repeats keeps the events near the unique count.
-      if (group.lines == 0 || group.last_line != line) {
-        group.last_line = line;
-        ++group.lines;
-        events_.push_back(LineEvent{line, g});
-      }
-      if (line == last) break;
-    }
+    record_site_load(load_sites_.find(site), addr, bytes);
   }
 
   /// Close the warp: add its counters to `out` and append one instruction
@@ -184,6 +167,28 @@ class WarpRecorder final : public LaneProbe {
     std::uint32_t group;
   };
 
+  /// record_load with the site already looked up; load_run looks its site
+  /// up once for the whole run.
+  void record_site_load(Site& site, std::uint64_t addr, std::uint32_t bytes) {
+    const std::uint32_t g = site.next_slot(load_groups_.size());
+    if (g == load_groups_.size()) load_groups_.push_back(LoadGroup{0, 0});
+    ++load_events_;
+    load_bytes_ += bytes;
+    if (bytes == 0) return;
+    LoadGroup& group = load_groups_[g];
+    const std::uint64_t last = (addr + bytes - 1) & line_mask_;
+    for (std::uint64_t line = addr & line_mask_;; line += line_bytes_) {
+      // Neighbouring lanes mostly touch the line their predecessor
+      // touched; dropping repeats keeps the events near the unique count.
+      if (group.lines == 0 || group.last_line != line) {
+        group.last_line = line;
+        ++group.lines;
+        events_.push_back(LineEvent{line, g});
+      }
+      if (line == last) break;
+    }
+  }
+
   std::uint32_t warp_size_ = 0;
   std::uint32_t line_bytes_ = 0;
   std::uint64_t line_mask_ = 0;
@@ -223,16 +228,108 @@ struct WarpStream {
   const std::uint32_t* offsets = nullptr;  ///< count + 1 entries
   const std::uint64_t* lines = nullptr;
   std::size_t count = 0;
+
+  /// The stream of a LineStreams holding one warp's instructions.
+  static WarpStream of(const LineStreams& s) {
+    return {s.offsets().data(), s.lines().data(), s.size()};
+  }
 };
 
-/// Replay warp streams through the SM's private L1, interleaving
-/// round-robin one instruction at a time in the order given; L1 hit/miss
-/// counters go to `out` and every L1-miss line is appended to `l2_misses`
-/// in replay order. The one L1 replay implementation: replay_interleaved_l1
-/// and simt::launch both call it.
-void replay_streams_l1(std::span<const WarpStream> warps, SetAssocCache& l1,
-                       KernelMetrics& out,
-                       std::vector<std::uint64_t>& l2_misses);
+/// The warps one SM replays, as groups of co-resident warps in issue
+/// order: group g is warps[group_end[g - 1], group_end[g]) (the first
+/// group starts at 0). A group's warps interleave in the SM's L1, and the
+/// L1 keeps its state from one group to the next.
+struct SmWarps {
+  std::vector<WarpStream> warps;
+  std::vector<std::uint32_t> group_end;
+
+  /// One group holding every warp of `replays`, in order.
+  static SmWarps one_group(const std::vector<WarpReplay>& replays);
+
+  void clear() {
+    warps.clear();
+    group_end.clear();
+  }
+};
+
+/// Shards the L2 merge splits the shared L2 into. A fixed count, so the
+/// split never depends on the pool width; an L2 with fewer set groups
+/// than this uses one shard per group.
+inline constexpr std::uint32_t kL2Shards = 64;
+
+/// Pass 2 of simt::launch, both stages on the thread pool; the result
+/// equals replaying each SM's warps through replay_interleaved, SM after
+/// SM, with one L2 shared by all SMs.
+///
+///  1. replay_l1: every SM replays its groups through its private L1, SMs
+///     in parallel. Each L1 miss line goes to a bucket per (SM, L2 shard),
+///     in replay order.
+///  2. merge_l2: under LRU the L2 sets are independent, so only the order
+///     of the accesses within a set matters. An L1 line's sectors fall in
+///     one group of consecutive L2 sets (every set, if the line is wider
+///     than the L2 has sets), and each shard owns a fixed subset of the
+///     groups. Shards run in parallel; each replays its buckets of SM 0,
+///     1, ... in order. Every set therefore sees the serial access order,
+///     and the counters are integer sums, so KernelMetrics are
+///     bit-identical to the serial merge for any BD_NUM_THREADS.
+///
+/// Within a group, every access is a whole L1 line that touches each set
+/// of the group alike: set j receives sector j of the line (and the same
+/// number of sectors per line, if the line wraps around the sets). The
+/// sets of a group therefore see the same sequence of lines, hold the same
+/// lines in the same recency order, and hit or miss together. The merge
+/// replays one set per group, keyed by the line, and counts each outcome
+/// once per set of the group; tests/test_cache.cpp checks it against the
+/// sector-by-sector replay_l2_lines on several geometries.
+///
+/// Holds only reusable buffers between calls, so one instance serves every
+/// launch of a thread without allocating after warm-up. Line addresses
+/// must be L1-line aligned, as WarpRecorder emits them.
+class ShardedReplay {
+ public:
+  /// Stage 1: start from empty caches and replay `sms` (one entry per SM,
+  /// spec.num_sms entries) through the per-SM L1s.
+  void replay_l1(const DeviceSpec& spec, std::span<const SmWarps> sms);
+
+  /// Stage 2: replay the buckets of the last replay_l1 through the shared
+  /// L2, and add the L1 and L2 counters and DRAM bytes to `out`.
+  void merge_l2(KernelMetrics& out);
+
+  /// Shards in use: kL2Shards, or the L2's set-group count if smaller.
+  std::uint32_t shards() const { return shards_; }
+
+ private:
+  // Each is written by one pool task at a time; a cache line each keeps
+  // the tasks' counter updates apart.
+  struct alignas(64) Sm {
+    SetAssocCache l1{1, 1, 1};
+    CacheStats stats;
+    std::vector<WarpStream> active;  ///< round-robin scratch
+  };
+  struct alignas(64) Shard {
+    /// One set per group of the shard, keyed by group number (line size 1).
+    SetAssocCache groups{1, 1, 1};
+    CacheStats stats;  ///< per group access, before scaling to sets
+  };
+
+  /// The cache geometry the buffers are laid out for.
+  struct Geometry {
+    std::uint32_t num_sms, l1_bytes, l1_line, l1_ways, l2_bytes, l2_line,
+        l2_ways;
+    bool operator==(const Geometry&) const = default;
+  };
+
+  Geometry geometry_{};
+  std::uint32_t shards_ = 0;
+  std::uint32_t shard_bits_ = 0;     ///< log2 shards_
+  std::uint32_t group_shift_ = 0;    ///< line >> group_shift_: group number
+  std::uint32_t group_sets_ = 0;     ///< L2 sets per group
+  std::uint32_t keys_per_line_ = 0;  ///< sectors a line puts in each set
+  std::vector<Sm> sms_;
+  std::vector<Shard> shard_state_;
+  /// buckets_[sm * shards_ + shard]: that SM's miss lines for that shard.
+  std::vector<std::vector<std::uint64_t>> buckets_;
+};
 
 /// Replay several warps' transaction streams through the SM's L1 and the
 /// shared L2, interleaving round-robin one instruction at a time — the
@@ -246,9 +343,8 @@ void replay_interleaved(const std::vector<WarpReplay>& replays,
 /// L1 stage of replay_interleaved: interleaves the warps through the SM's
 /// private L1, accumulating L1 hit/miss counters into `out` and appending
 /// the line address of every L1 miss to `l2_misses` in replay order
-/// instead of touching the shared L2. Per-SM L1 state is independent, so
-/// the executor runs this stage for all SMs in parallel (sharded replay)
-/// and feeds the recorded miss streams to replay_l2_lines serially.
+/// instead of touching the shared L2. ShardedReplay::replay_l1 runs the
+/// same replay loop.
 void replay_interleaved_l1(const std::vector<WarpReplay>& replays,
                            const DeviceSpec& spec, SetAssocCache& l1,
                            KernelMetrics& out,
@@ -256,9 +352,9 @@ void replay_interleaved_l1(const std::vector<WarpReplay>& replays,
 
 /// L2 stage: replays recorded L1-miss lines through the shared L2 as
 /// sector transactions (l2_line_bytes each), accumulating L2 hit/miss
-/// counters and DRAM traffic into `out`. Feeding each SM's miss stream in
-/// SM-major order reproduces the serial executor's L2 access order
-/// exactly, which is what keeps sharded replay bitwise identical.
+/// counters and DRAM traffic into `out`. Fed each SM's miss stream in
+/// SM-major order, it is the serial reference for
+/// ShardedReplay::merge_l2.
 void replay_l2_lines(const std::vector<std::uint64_t>& lines,
                      const DeviceSpec& spec, SetAssocCache& l2,
                      KernelMetrics& out);

@@ -179,6 +179,7 @@ KernelMetrics reference_launch(const DeviceSpec& spec,
       ctx.block_id = b;
       ctx.thread_id = t;
       ctx.global_id = b * config.threads_per_block + t;
+      ctx.warp_id = b * warps_per_block + t / spec.warp_size;
       kernel(ctx, traces[t]);
     }
     for (std::uint32_t w = 0; w < warps_per_block; ++w) {

@@ -298,27 +298,19 @@ simt::KernelMetrics serial_replay(
   return out;
 }
 
-/// The sharded composition simt::launch uses: parallel per-SM L1 stage
-/// recording miss lines, then the serial SM-major L2 merge.
+/// Pass 2 as simt::launch runs it (simt::ShardedReplay): per-SM L1 replay
+/// on the pool, then the set-sharded L2 merge.
 simt::KernelMetrics sharded_replay(
     const simt::DeviceSpec& spec,
     std::vector<std::vector<simt::WarpReplay>>& streams) {
-  struct Shard {
-    simt::KernelMetrics partial;
-    std::vector<std::uint64_t> l2_misses;
-  };
-  std::vector<Shard> shards(spec.num_sms);
-  util::parallel_for(0, spec.num_sms, [&](std::size_t sm) {
-    simt::SetAssocCache l1(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways);
-    simt::replay_interleaved_l1(streams[sm], spec, l1, shards[sm].partial,
-                                shards[sm].l2_misses);
-  });
-  simt::KernelMetrics out;
-  simt::SetAssocCache l2(spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways);
-  for (std::uint32_t sm = 0; sm < spec.num_sms; ++sm) {
-    out += shards[sm].partial;
-    simt::replay_l2_lines(shards[sm].l2_misses, spec, l2, out);
+  std::vector<simt::SmWarps> sms;
+  for (const auto& warps : streams) {
+    sms.push_back(simt::SmWarps::one_group(warps));
   }
+  simt::ShardedReplay replay;
+  replay.replay_l1(spec, sms);
+  simt::KernelMetrics out;
+  replay.merge_l2(out);
   return out;
 }
 

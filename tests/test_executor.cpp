@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <thread>
 #include <vector>
 
 #include "simt/executor.hpp"
 #include "util/check.hpp"
+#include "util/parallel.hpp"
 
 namespace bd::simt {
 namespace {
@@ -123,6 +126,83 @@ TEST(Executor, BlocksRoundRobinOverSms) {
       });
   EXPECT_EQ(m.l1.misses, 4u);
   EXPECT_EQ(m.l1.hits, 4u);
+}
+
+TEST(Executor, UnequalBlocksBitwiseIdenticalAcrossThreadCounts) {
+  // Blocks of very different cost, as Predictive-RP's clusters are: warps
+  // finish out of order on a wide pool, yet every counter and the modeled
+  // time must match the 1-thread launch bit for bit.
+  const DeviceSpec spec = tesla_k40();
+  std::vector<double> data(1 << 16, 1.0);
+  auto kernel = [&](const ThreadCtx& ctx, LaneProbe& p) {
+    const std::uint32_t trips = (ctx.block_id * ctx.block_id) % 7 * 40 +
+                                (ctx.thread_id % 5) + 1;
+    p.loop_trip(kLoop, trips);
+    for (std::uint32_t i = 0; i < trips; ++i) {
+      const std::size_t at =
+          (ctx.global_id * 97 + i * (1 + ctx.block_id) * 131) % data.size();
+      p.load(kLoad, &data[at], 8);
+    }
+    p.count_flops(trips * 3);
+  };
+  const LaunchConfig config{8, 512};
+  util::ThreadPool::set_global_threads(1);
+  const KernelMetrics serial = launch(spec, config, kernel);
+  util::ThreadPool::set_global_threads(8);
+  const KernelMetrics parallel = launch(spec, config, kernel);
+  util::ThreadPool::set_global_threads(0);
+  ASSERT_GT(serial.l2.hits, 0u);
+  ASSERT_GT(serial.l2.misses, 0u);
+  EXPECT_EQ(parallel.flops, serial.flops);
+  EXPECT_EQ(parallel.warp_instructions, serial.warp_instructions);
+  EXPECT_EQ(parallel.active_lane_slots, serial.active_lane_slots);
+  EXPECT_EQ(parallel.lane_slots, serial.lane_slots);
+  EXPECT_EQ(parallel.load_instructions, serial.load_instructions);
+  EXPECT_EQ(parallel.bytes_requested, serial.bytes_requested);
+  EXPECT_EQ(parallel.bytes_transferred, serial.bytes_transferred);
+  EXPECT_EQ(parallel.l1_transactions, serial.l1_transactions);
+  EXPECT_EQ(parallel.l1.hits, serial.l1.hits);
+  EXPECT_EQ(parallel.l1.misses, serial.l1.misses);
+  EXPECT_EQ(parallel.l2.hits, serial.l2.hits);
+  EXPECT_EQ(parallel.l2.misses, serial.l2.misses);
+  EXPECT_EQ(parallel.dram_bytes, serial.dram_bytes);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(parallel.modeled_seconds),
+            std::bit_cast<std::uint64_t>(serial.modeled_seconds));
+}
+
+TEST(Executor, LanesOfAWarpRunInLaneOrderOnOneThread) {
+  // The lane-concurrency contract: a warp's lanes run serially, in lane
+  // order, on one thread. Each warp logs into its own slot, which the
+  // contract makes race-free.
+  util::ThreadPool::set_global_threads(8);
+  const DeviceSpec spec = test_device();
+  const LaunchConfig config{6, 80};  // 3 warps per block, the last partial
+  const std::uint32_t warps_per_block = config.warps_per_block(spec.warp_size);
+  ASSERT_EQ(warps_per_block, 3u);
+  struct Entry {
+    std::thread::id thread;
+    ThreadCtx ctx;
+  };
+  std::vector<std::vector<Entry>> log(config.num_warps(spec.warp_size));
+  launch(spec, config, [&](const ThreadCtx& ctx, LaneProbe&) {
+    log[ctx.warp_id].push_back(Entry{std::this_thread::get_id(), ctx});
+  });
+  util::ThreadPool::set_global_threads(0);
+  for (std::uint32_t w = 0; w < log.size(); ++w) {
+    const std::uint32_t block = w / warps_per_block;
+    const std::uint32_t first = (w % warps_per_block) * spec.warp_size;
+    const std::uint32_t lanes =
+        std::min(spec.warp_size, config.threads_per_block - first);
+    ASSERT_EQ(log[w].size(), lanes) << "warp " << w;
+    for (std::uint32_t i = 0; i < lanes; ++i) {
+      const Entry& e = log[w][i];
+      EXPECT_EQ(e.thread, log[w][0].thread) << "warp " << w;
+      EXPECT_EQ(e.ctx.block_id, block);
+      EXPECT_EQ(e.ctx.thread_id, first + i);
+      EXPECT_EQ(e.ctx.global_id, block * config.threads_per_block + first + i);
+      EXPECT_EQ(e.ctx.warp_id, w);
+    }
+  }
 }
 
 }  // namespace
