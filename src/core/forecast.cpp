@@ -1,10 +1,8 @@
 #include "core/forecast.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
-#include "quad/partition.hpp"
 #include "util/check.hpp"
 
 namespace bd::core {
@@ -15,31 +13,9 @@ std::uint32_t round_pow2(double count) {
   return static_cast<std::uint32_t>(std::exp2(level));
 }
 
-std::vector<double> pattern_to_partition(std::span<const double> pattern,
-                                         double sub_width, double r_max,
-                                         double headroom) {
-  BD_CHECK(sub_width > 0.0 && r_max > 0.0 && headroom > 0.0);
-  std::vector<std::uint32_t> counts;
-  counts.reserve(pattern.size());
-  for (double n : pattern) counts.push_back(round_pow2(headroom * n));
-  return quad::partition_from_counts(counts, sub_width, r_max);
-}
-
-std::vector<double> pattern_to_partition_adaptive(
-    std::span<const double> pattern, const std::vector<double>& previous,
-    double sub_width, double r_max, double headroom) {
-  if (previous.size() < 2) {
-    return pattern_to_partition(pattern, sub_width, r_max, headroom);
-  }
-  std::vector<std::uint32_t> counts;
-  counts.reserve(pattern.size());
-  for (double n : pattern) counts.push_back(round_pow2(headroom * n));
-  return quad::refine_partition(previous, counts, sub_width, r_max);
-}
-
 namespace {
 
-/// Virtual view of quad::clip_partition(previous, 0, r_max) — the sequence
+/// Virtual view of `previous` clipped to [0, r_max] — the sequence
 /// [0.0] ++ {x in previous : 0 < x < r_max} ++ [r_max] — without
 /// materializing it.
 struct ClippedPrev {
@@ -71,12 +47,11 @@ ClippedPrev clip_view(std::span<const double> prev, double r_max) {
   return v;
 }
 
-/// Walk the clipped previous partition exactly like quad::refine_partition,
-/// deriving each subregion's previous-interval count from its run length:
-/// interval midpoints increase, so the (floor/clamped) subregion index is
-/// non-decreasing and all of a subregion's intervals form one contiguous
-/// run. Valid whenever `previous` spans [0, r_max] — true for every
-/// solver-built partition; the vector transforms remain the general path.
+/// Walk the clipped previous partition, deriving each subregion's
+/// previous-interval count from its run length: interval midpoints
+/// increase, so the (floor/clamped) subregion index is non-decreasing and
+/// all of a subregion's intervals form one contiguous run. Valid whenever
+/// `previous` spans [0, r_max] — true for every solver-built partition.
 /// emit(lo, hi, pieces) is called once per previous interval, in order.
 template <typename Emit>
 void refine_walk(std::span<const double> pattern, const ClippedPrev& c,
@@ -123,7 +98,11 @@ std::size_t pattern_to_partition_into(std::span<const double> pattern,
   for (std::size_t j = 0; j < pattern.size(); ++j) {
     const double lo = static_cast<double>(j) * sub_width;
     if (lo >= r_max) break;
-    const double hi = std::min(lo + sub_width, r_max);
+    // (j+1)·w, not lo + w: the sum can round a few ulp below the next
+    // boundary (and below r_max = κ·w), which would leave a sliver
+    // interval that MERGE-LISTS' eps dedup can later swallow r_max with.
+    const double hi =
+        std::min(static_cast<double>(j + 1) * sub_width, r_max);
     const std::uint32_t n =
         std::max<std::uint32_t>(1, round_pow2(headroom * pattern[j]));
     for (std::uint32_t i = 1; i <= n; ++i) {

@@ -3,13 +3,12 @@
 /// COMPUTE-PARTITION (paper §III-C2): transform a (predicted) access
 /// pattern into an rp-integral partition. Counts are rounded up to powers
 /// of two so partitions of similar patterns share breakpoints — unions of
-/// dyadic partitions nest, which keeps the per-cluster merged partition
-/// (MERGE-LISTS over all members) close to the finest member instead of
-/// blowing up.
+/// dyadic partitions nest, which keeps the per-warp merged partition
+/// (MERGE-LISTS over the warp's members) close to the finest member
+/// instead of blowing up.
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace bd::core {
 
@@ -30,36 +29,20 @@ std::uint32_t round_pow2(double count);
 /// through to the (divergent) adaptive fallback every step.
 inline constexpr double kPartitionHeadroom = 1.3;
 
-/// Uniform transform: subregion j gets round_pow2(headroom · pattern[j])
-/// equal intervals. Returns breakpoints over [0, r_max].
-std::vector<double> pattern_to_partition(std::span<const double> pattern,
-                                         double sub_width, double r_max,
-                                         double headroom = kPartitionHeadroom);
-
-/// Adaptive transform: subdivide the previous partition so each subregion
-/// reaches at least the predicted count (paper: split each previous
-/// interval in S_j into n_j/d_j pieces). Falls back to the uniform
-/// transform when there is no previous partition.
-std::vector<double> pattern_to_partition_adaptive(
-    std::span<const double> pattern, const std::vector<double>& previous,
-    double sub_width, double r_max, double headroom = kPartitionHeadroom);
-
-// --- Allocation-free variants (PartitionSet fill path) ---
-//
 // The *_bound functions return a breakpoint-count upper bound for one
 // point, so a PartitionSet can lay out all rows in a single serial pass;
-// the *_into functions then fill each row slot in parallel, producing
-// exactly the same breakpoints as the vector-returning transforms above.
-// The adaptive variants require `previous` to span [0, r_max] (which
-// every solver-built partition does) so the per-subregion interval counts
-// can be derived from a single monotone walk instead of a scratch array.
+// the *_into functions then fill each row slot in parallel, allocation
+// free. The reference vector-returning transforms they must match bit for
+// bit live in tests/oracles/partition_oracle.hpp.
 
 /// Breakpoint-count bound of the uniform transform.
 std::size_t pattern_to_partition_bound(std::span<const double> pattern,
                                        double headroom = kPartitionHeadroom);
 
-/// Uniform transform into a caller-provided slot (>= the bound). Returns
-/// the number of breakpoints written.
+/// Uniform transform (method 1): subregion j = [j·w, (j+1)·w] is cut into
+/// round_pow2(headroom · pattern[j]) equal intervals (at least one).
+/// Writes breakpoints over [0, r_max] into a caller-provided slot (>= the
+/// bound) and returns how many were written.
 std::size_t pattern_to_partition_into(std::span<const double> pattern,
                                       double sub_width, double r_max,
                                       std::span<double> out,
@@ -70,8 +53,13 @@ std::size_t pattern_to_partition_adaptive_bound(
     std::span<const double> pattern, std::span<const double> previous,
     double sub_width, double r_max, double headroom = kPartitionHeadroom);
 
-/// Adaptive transform into a caller-provided slot (>= the bound). Returns
-/// the number of breakpoints written.
+/// Adaptive transform (method 2): every interval of `previous` in
+/// subregion j is split into ceil(n_j / d_j) equal pieces, where n_j is the
+/// rounded predicted count and d_j the number of previous intervals in S_j
+/// (attributed by midpoint). `previous` must span [0, r_max], as every
+/// solver-built partition does; with fewer than two breakpoints it falls
+/// back to the uniform transform. Writes into a caller-provided slot (>=
+/// the bound) and returns the number of breakpoints written.
 std::size_t pattern_to_partition_adaptive_into(
     std::span<const double> pattern, std::span<const double> previous,
     double sub_width, double r_max, std::span<double> out,

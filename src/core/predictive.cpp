@@ -21,6 +21,19 @@ namespace telemetry = util::telemetry;
 
 namespace {
 constexpr std::size_t kFeatureDim = 3;  // (x, y, t)
+constexpr std::uint64_t kClusterSeed = 42;
+/// Warp-shaped clustering tiles: 8 points along s × 4 along y.
+constexpr std::uint32_t kTileW = 8;
+constexpr std::uint32_t kTileH = 4;
+/// Weight of grid coordinates in per-point clustering features (see
+/// RpClusteringOptions::spatial_weight); only the untiled ablation uses it.
+constexpr double kSpatialWeight = 0.75;
+/// Every kTrainingStride-th grid point becomes a training example (cuts
+/// host training cost at negligible forecast-quality loss).
+constexpr std::size_t kTrainingStride = 4;
+/// EMA factor blending new observations into the training targets (damps
+/// refine/coarsen oscillation).
+constexpr double kObservationEma = 0.5;
 
 /// Mean absolute error between the forecast and observed pattern fields.
 double pattern_mae(const PatternField& predicted,
@@ -37,22 +50,9 @@ double pattern_mae(const PatternField& predicted,
 PredictiveSolver::PredictiveSolver(simt::DeviceSpec device,
                                    PredictiveOptions options)
     : device_(std::move(device)), options_(options) {
-  BD_CHECK_MSG(options_.training_stride >= 1,
-               "PredictiveOptions.training_stride must be >= 1, got "
-                   << options_.training_stride);
   BD_CHECK_MSG(options_.training_window >= 1,
                "PredictiveOptions.training_window must be >= 1, got "
                    << options_.training_window);
-  BD_CHECK_MSG(options_.tile_w >= 1,
-               "PredictiveOptions.tile_w must be >= 1, got "
-                   << options_.tile_w);
-  BD_CHECK_MSG(options_.tile_h >= 1,
-               "PredictiveOptions.tile_h must be >= 1, got "
-                   << options_.tile_h);
-  BD_CHECK_MSG(options_.observation_ema > 0.0 &&
-                   options_.observation_ema <= 1.0,
-               "PredictiveOptions.observation_ema must be in (0, 1], got "
-                   << options_.observation_ema);
 }
 
 void PredictiveSolver::reset() {
@@ -66,10 +66,8 @@ void PredictiveSolver::reset() {
 namespace {
 
 /// MERGE-LISTS fold over a member range: merge the members' partitions into
-/// one list using the scratch ping/pong buffers, append it as a row of
-/// `out` and return the row id. The fold order (and therefore every
-/// rounding decision) matches the historical pairwise merge_partitions
-/// chain exactly.
+/// one list, left to right, using the scratch ping/pong buffers, append it
+/// as a row of `out` and return the row id.
 std::size_t fold_merge_row(const quad::PartitionSet& parts,
                            std::span<const std::uint32_t> members,
                            SolverScratch& scratch, quad::PartitionSet& out) {
@@ -258,9 +256,9 @@ SolveResult PredictiveSolver::solve_predictive(const RpProblem& problem) {
   if (options_.tiled) {
     TiledClusteringOptions tiled_options;
     tiled_options.clusters = std::min(m, num_points);
-    tiled_options.tile_w = options_.tile_w;
-    tiled_options.tile_h = options_.tile_h;
-    tiled_options.seed = options_.cluster_seed;
+    tiled_options.tile_w = kTileW;
+    tiled_options.tile_h = kTileH;
+    tiled_options.seed = kClusterSeed;
     tiled_options.accel = accel;
     clusters = rp_clustering_tiled(predicted, spec, tiled_options);
   } else {
@@ -270,41 +268,31 @@ SolveResult PredictiveSolver::solve_predictive(const RpProblem& problem) {
     }
     RpClusteringOptions cluster_options;
     cluster_options.clusters = std::min(m, num_points);
-    cluster_options.seed = options_.cluster_seed;
-    cluster_options.spatial_weight = options_.spatial_weight;
+    cluster_options.seed = kClusterSeed;
+    cluster_options.spatial_weight = kSpatialWeight;
     cluster_options.accel = accel;
     clusters = rp_clustering(predicted, coord_x, coord_y, cluster_options);
   }
   if (clusters.warm_started) ++warm_start_hits_;
 
-  // MERGE-LISTS: a shared partition per warp (default) or per cluster.
-  // Warp granularity keeps control flow lockstep exactly where SIMD
-  // hardware needs it while evaluating barely more intervals than the
-  // members individually require. Each merged list is stored once as a
-  // PartitionSet row and aliased by every member entry.
+  // MERGE-LISTS: one shared partition per warp. Warp granularity keeps
+  // control flow lockstep exactly where SIMD hardware needs it while
+  // evaluating barely more intervals than the members individually
+  // require. Each merged list is stored once as a PartitionSet row and
+  // aliased by every member entry.
   quad::PartitionSet& merged = scratch.merged;
   const std::size_t warp = device_.warp_size;
-  if (options_.merge_per_warp) {
-    merged.reset(num_points);
-    // A merged row never exceeds the Σ of its inputs: one reserve bounds
-    // the whole fold (no add_row growth cascade on record-sized steps).
-    merged.reserve_breaks(parts.used());
-    for (std::size_t c = 0; c < clusters.members.size(); ++c) {
-      const auto& members = clusters.members[c];
-      for (std::size_t lo = 0; lo < members.size(); lo += warp) {
-        const std::size_t hi = std::min(members.size(), lo + warp);
-        const std::span<const std::uint32_t> group(members.data() + lo,
-                                                   hi - lo);
-        const std::size_t row = fold_merge_row(parts, group, scratch, merged);
-        for (std::uint32_t p : group) merged.bind(p, row);
-      }
-    }
-  } else {
-    merged.reset(clusters.members.size());
-    merged.reserve_breaks(parts.used());
-    for (std::size_t c = 0; c < clusters.members.size(); ++c) {
-      merged.bind(c, fold_merge_row(parts, clusters.members[c], scratch,
-                                    merged));
+  merged.reset(num_points);
+  // A merged row never exceeds the Σ of its inputs: one reserve bounds the
+  // whole fold (no add_row growth cascade on record-sized steps).
+  merged.reserve_breaks(parts.used());
+  for (const auto& members : clusters.members) {
+    for (std::size_t lo = 0; lo < members.size(); lo += warp) {
+      const std::size_t hi = std::min(members.size(), lo + warp);
+      const std::span<const std::uint32_t> group(members.data() + lo,
+                                                 hi - lo);
+      const std::size_t row = fold_merge_row(parts, group, scratch, merged);
+      for (std::uint32_t p : group) merged.bind(p, row);
     }
   }
   const double clustering_seconds = cluster_timer.seconds();
@@ -323,12 +311,11 @@ SolveResult PredictiveSolver::solve_predictive(const RpProblem& problem) {
   telemetry::gauge_set("predictive.warm_start_hits",
                        static_cast<double>(warm_start_hits_));
 
-  // (4) COMPUTE-RP-INTEGRAL with uniform per-warp/per-block control flow.
+  // (4) COMPUTE-RP-INTEGRAL with uniform per-warp control flow.
   RpKernelInput input;
   input.problem = &problem;
   input.clusters = &clusters;
-  input.source = options_.merge_per_warp ? PartitionSource::kPerPoint
-                                         : PartitionSource::kSharedPerCluster;
+  input.source = PartitionSource::kPerPoint;
   input.partitions = &merged;
   RpKernelOutput kernel1 = run_compute_rp_integral(device_, input, scratch);
 
@@ -346,13 +333,9 @@ SolveResult PredictiveSolver::solve_predictive(const RpProblem& problem) {
   telemetry::gauge_set("predictive.forecast_mae", forecast_mae);
 
   // Remember per-point partitions for the adaptive transform: the
-  // warp-merged lists each member actually walked (per-warp mode), or the
-  // unmerged per-point partitions (per-cluster mode) — exactly what the
-  // vector-based path stored.
+  // warp-merged lists each member actually walked.
   if (options_.transform == PartitionTransform::kAdaptive) {
-    previous_partitions_.copy_from(options_.merge_per_warp
-                                       ? scratch.merged
-                                       : scratch.point_partitions);
+    previous_partitions_.copy_from(scratch.merged);
     scratch.absorb(previous_partitions_);
   }
 
@@ -402,7 +385,7 @@ void PredictiveSolver::load_state(util::BinaryReader& in) {
     BD_CHECK_MSG(target_dim > 0, "corrupt predictor target dim");
     predictor_ = std::make_unique<ml::OnlinePredictor>(
         options_.predictor, kFeatureDim, target_dim, options_.training_window,
-        options_.knn, options_.ridge);
+        options_.knn);
     predictor_->load(in);
   } else {
     predictor_.reset();
@@ -426,11 +409,10 @@ void PredictiveSolver::learn(const RpProblem& problem,
                              const PatternField& observed,
                              double& train_seconds) {
   const std::size_t num_points = problem.num_points();
-  const std::size_t stride = options_.training_stride;
-  const std::size_t examples = (num_points + stride - 1) / stride;
+  const std::size_t examples =
+      (num_points + kTrainingStride - 1) / kTrainingStride;
 
   // EMA-smooth the observations (damps refine/coarsen oscillation).
-  const double alpha = std::clamp(options_.observation_ema, 0.0, 1.0);
   if (smoothed_.points() != num_points ||
       smoothed_.subregions() != problem.num_subregions) {
     smoothed_ = observed;
@@ -438,21 +420,21 @@ void PredictiveSolver::learn(const RpProblem& problem,
     auto s = smoothed_.flat();
     const auto o = observed.flat();
     for (std::size_t i = 0; i < s.size(); ++i) {
-      s[i] = alpha * o[i] + (1.0 - alpha) * s[i];
+      s[i] = kObservationEma * o[i] + (1.0 - kObservationEma) * s[i];
     }
   }
 
   if (!predictor_ || predictor_->target_dim() != problem.num_subregions) {
     predictor_ = std::make_unique<ml::OnlinePredictor>(
         options_.predictor, kFeatureDim, problem.num_subregions,
-        options_.training_window, options_.knn, options_.ridge);
+        options_.training_window, options_.knn);
   }
 
   std::vector<double> features;
   std::vector<double> targets;
   features.reserve(examples * kFeatureDim);
   targets.reserve(examples * problem.num_subregions);
-  for (std::size_t p = 0; p < num_points; p += stride) {
+  for (std::size_t p = 0; p < num_points; p += kTrainingStride) {
     double x = 0.0, y = 0.0;
     problem.point_coords(p, x, y);
     features.push_back(x);

@@ -8,9 +8,10 @@
 ///   2. COMPUTE-PARTITION: transform forecasts into quadrature partitions
 ///      (§III-C2, uniform or adaptive transform);
 ///   3. RP-CLUSTERING: k-means over the forecast patterns groups points of
-///      similar access behaviour; every cluster becomes one thread block
-///      and its members' partitions are merged (MERGE-LISTS) into a single
-///      shared partition — uniform control flow, maximal data reuse.
+///      similar access behaviour; every cluster becomes one thread block,
+///      and within it each warp's member partitions are merged
+///      (MERGE-LISTS) into one shared partition — lockstep control flow
+///      where SIMD hardware needs it, maximal data reuse.
 ///      Centroids train on a D² coreset, warm-started from the previous
 ///      step's centroids (ClusteringAccel), so the host cost the paper's
 ///      Table II prices at 2.9 ms/step grows sublinearly in grid area;
@@ -34,33 +35,20 @@
 
 namespace bd::core {
 
-/// Predictive-RP configuration.
+/// Predictive-RP configuration. The constants the solver fixes (cluster
+/// seed, warp-tile shape, coordinate weight of per-point clustering,
+/// training stride and observation EMA) are listed in predictive.cpp.
 struct PredictiveOptions {
   ml::PredictorKind predictor = ml::PredictorKind::kKnn;
   ml::KnnConfig knn;                 ///< kNN hyperparameters
-  ml::LinRegConfig ridge;            ///< ridge hyperparameters
   std::size_t training_window = 1;   ///< steps of history kept for training
   PartitionTransform transform = PartitionTransform::kUniform;
-  std::size_t clusters = 0;          ///< 0 = paper's m = max(N_X, N_Y)
-  std::uint64_t cluster_seed = 42;
-  /// Weight of grid coordinates in the clustering features (see
-  /// RpClusteringOptions::spatial_weight). Only used when tiled = false.
-  double spatial_weight = 0.75;
+  /// Cluster count m; 0 = one cluster per SM's worth of resident warps
+  /// (the paper uses m = max(N_X, N_Y)).
+  std::size_t clusters = 0;
   /// Use warp-tile-granular clustering (rp_clustering_tiled) — the
   /// production mapping. false = plain per-point k-means (ablation).
   bool tiled = true;
-  std::uint32_t tile_w = 8;   ///< tile width (points along s)
-  std::uint32_t tile_h = 4;   ///< tile height (points along y)
-  /// MERGE-LISTS granularity: true merges member partitions per *warp*
-  /// (lockstep where it matters, minimal over-evaluation); false merges
-  /// over the whole cluster/block as in the paper's Algorithm 1.
-  bool merge_per_warp = true;
-  /// Sample stride for training examples (1 = every grid point; larger
-  /// strides cut host training cost at negligible forecast-quality loss).
-  std::size_t training_stride = 4;
-  /// EMA factor blending new observations into the training targets
-  /// (damps refine/coarsen oscillation; 1 = use raw observations).
-  double observation_ema = 0.5;
 };
 
 class PredictiveSolver final : public RpSolver {

@@ -1,20 +1,20 @@
 #include "ml/kdtree.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
-#include "ml/linalg.hpp"
 #include "util/check.hpp"
 
 namespace bd::ml {
 
-void KdTree::build(std::span<const double> points, std::size_t count,
+void KdTree::build(std::vector<double> points, std::size_t count,
                    std::size_t dim) {
   BD_CHECK(dim > 0);
   BD_CHECK_MSG(points.size() == count * dim, "points size mismatch");
   count_ = count;
   dim_ = dim;
-  points_.assign(points.begin(), points.end());
+  points_ = std::move(points);
   nodes_.clear();
   nodes_.reserve(count);
   root_ = -1;
@@ -59,14 +59,30 @@ bool heap_less(const Neighbor& a, const Neighbor& b) {
   }
   return a.index < b.index;
 }
+
+/// Lower bound on the squared distance from the query to any point of a
+/// cell: the per-axis offsets summed in axis order, like the point
+/// distance in search(). Each offset is a rounded |q - split| that is no
+/// larger than the rounded |q - v| of any point v in the cell, and rounded
+/// addition is monotone, so the bound never exceeds a computed distance.
+double box_distance(std::span<const double> offsets) {
+  double acc = 0.0;
+  for (const double o : offsets) acc += o * o;
+  return acc;
+}
 }  // namespace
 
-void KdTree::search(std::int32_t node_id, std::span<const double> q,
-                    std::size_t k, std::vector<Neighbor>& heap) const {
-  if (node_id < 0) return;
+void KdTree::search(std::int32_t node_id, const double* q, std::size_t k,
+                    Scratch& scratch) const {
   const Node& node = nodes_[static_cast<std::size_t>(node_id)];
-  const double d2 = squared_distance(point(node.point), q);
+  const double* p = point(node.point);
+  double d2 = 0.0;
+  for (std::size_t c = 0; c < dim_; ++c) {
+    const double d = p[c] - q[c];
+    d2 += d * d;
+  }
   const Neighbor candidate{node.point, d2};
+  std::vector<Neighbor>& heap = scratch.heap;
   if (heap.size() < k) {
     heap.push_back(candidate);
     std::push_heap(heap.begin(), heap.end(), heap_less);
@@ -76,26 +92,42 @@ void KdTree::search(std::int32_t node_id, std::span<const double> q,
     std::push_heap(heap.begin(), heap.end(), heap_less);
   }
 
+  // Left subtree points have coordinate <= split on this axis, right ones
+  // >= split, so the far cell lies at least |delta| away along the axis.
   const double delta = q[node.axis] - node.split;
   const std::int32_t near = delta <= 0.0 ? node.left : node.right;
   const std::int32_t far = delta <= 0.0 ? node.right : node.left;
-  search(near, q, k, heap);
-  if (heap.size() < k || delta * delta <= heap.front().squared_dist) {
-    search(far, q, k, heap);
+  if (near >= 0) search(near, q, k, scratch);
+  if (far < 0) return;
+  double& offset = scratch.offsets[node.axis];
+  const double saved = offset;
+  offset = std::max(saved, std::abs(delta));
+  // Inclusive: a far point at exactly the k-th distance may still win its
+  // tie on index.
+  if (heap.size() < k ||
+      box_distance(scratch.offsets) <= heap.front().squared_dist) {
+    search(far, q, k, scratch);
   }
+  offset = saved;
 }
 
-std::vector<Neighbor> KdTree::query(std::span<const double> query,
-                                    std::size_t k) const {
+void KdTree::query_into(std::span<const double> query, std::size_t k,
+                        Scratch& scratch) const {
   BD_CHECK_MSG(!empty(), "query on an empty kd-tree");
   BD_CHECK(query.size() == dim_);
   k = std::min(k, count_);
   BD_CHECK_MSG(k > 0, "k must be positive");
-  std::vector<Neighbor> heap;
-  heap.reserve(k + 1);
-  search(root_, query, k, heap);
-  std::sort_heap(heap.begin(), heap.end(), heap_less);
-  return heap;
+  scratch.heap.clear();
+  scratch.offsets.assign(dim_, 0.0);
+  search(root_, query.data(), k, scratch);
+  std::sort_heap(scratch.heap.begin(), scratch.heap.end(), heap_less);
+}
+
+std::vector<Neighbor> KdTree::query(std::span<const double> query,
+                                    std::size_t k) const {
+  Scratch scratch;
+  query_into(query, k, scratch);
+  return std::move(scratch.heap);
 }
 
 }  // namespace bd::ml

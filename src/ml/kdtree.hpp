@@ -16,19 +16,34 @@ struct Neighbor {
 };
 
 /// Static kd-tree built once over a point set; supports k-NN queries.
+///
+/// Results are exact and deterministic: the k nearest points under the
+/// total order (squared distance, index), i.e. exactly what a brute-force
+/// scan with index tie-breaking returns, bit for bit.
 class KdTree {
  public:
+  /// Per-thread query buffers. A query through query_into allocates
+  /// nothing once these have grown to k + 1 neighbors and `dim` offsets.
+  struct Scratch {
+    std::vector<Neighbor> heap;    ///< result, sorted ascending
+    std::vector<double> offsets;   ///< per-axis query-to-cell offsets
+  };
+
   KdTree() = default;
 
   /// Build from `count` points of dimension `dim` stored row-major in
-  /// `points`. The data is copied.
-  void build(std::span<const double> points, std::size_t count,
-             std::size_t dim);
+  /// `points`. The tree owns the point storage (pass an rvalue to avoid
+  /// the copy).
+  void build(std::vector<double> points, std::size_t count, std::size_t dim);
 
   /// The k nearest neighbors of `query` (ties broken by index order),
   /// sorted by ascending distance. k is clamped to the point count.
   std::vector<Neighbor> query(std::span<const double> query,
                               std::size_t k) const;
+
+  /// Allocation-free form of query(): the result lands in scratch.heap.
+  void query_into(std::span<const double> query, std::size_t k,
+                  Scratch& scratch) const;
 
   std::size_t size() const { return count_; }
   std::size_t dim() const { return dim_; }
@@ -44,11 +59,11 @@ class KdTree {
   };
 
   std::int32_t build_recursive(std::span<std::uint32_t> indices, int depth);
-  void search(std::int32_t node, std::span<const double> q, std::size_t k,
-              std::vector<Neighbor>& heap) const;
+  void search(std::int32_t node, const double* q, std::size_t k,
+              Scratch& scratch) const;
 
-  std::span<const double> point(std::uint32_t i) const {
-    return std::span<const double>(points_.data() + i * dim_, dim_);
+  const double* point(std::uint32_t i) const {
+    return points_.data() + static_cast<std::size_t>(i) * dim_;
   }
 
   std::size_t count_ = 0;

@@ -3,77 +3,60 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ml/linalg.hpp"
 #include "util/check.hpp"
 
 namespace bd::ml {
 
+namespace {
+/// Per-thread query buffers: the standardized query and the tree's
+/// search scratch.
+struct QueryScratch {
+  std::vector<double> query;
+  KdTree::Scratch tree;
+};
+}  // namespace
+
 void KNNRegressor::fit(const Dataset& data) {
   BD_CHECK_MSG(!data.empty(), "kNN fit on empty dataset");
-  train_ = data;
-  if (config_.standardize) {
-    scaler_.fit(train_);
+  scaler_.fit(data);
+  const std::size_t dim = data.feature_dim();
+  std::vector<double> scaled = data.raw_features();
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    scaler_.transform(std::span<double>(scaled.data() + i * dim, dim));
   }
-  if (config_.use_kdtree) {
-    scaled_features_.clear();
-    scaled_features_.reserve(train_.size() * train_.feature_dim());
-    for (std::size_t i = 0; i < train_.size(); ++i) {
-      auto row = train_.features(i);
-      std::vector<double> f(row.begin(), row.end());
-      if (config_.standardize) scaler_.transform(f);
-      scaled_features_.insert(scaled_features_.end(), f.begin(), f.end());
-    }
-    tree_.build(scaled_features_, train_.size(), train_.feature_dim());
-  }
+  tree_.build(std::move(scaled), data.size(), dim);
+  targets_ = data.raw_targets();
+  target_dim_ = data.target_dim();
 }
 
 void KNNRegressor::predict_into(std::span<const double> features,
                                 std::span<double> out) const {
   BD_CHECK_MSG(fitted(), "predict before fit");
-  BD_CHECK(features.size() == train_.feature_dim());
-  BD_CHECK(out.size() == train_.target_dim());
+  BD_CHECK(features.size() == tree_.dim());
+  BD_CHECK(out.size() == target_dim_);
 
-  std::vector<double> query(features.begin(), features.end());
-  if (config_.standardize) scaler_.transform(query);
+  thread_local QueryScratch scratch;
+  scratch.query.assign(features.begin(), features.end());
+  scaler_.transform(scratch.query);
+  tree_.query_into(scratch.query, config_.k, scratch.tree);
 
-  std::vector<Neighbor> neighbors;
-  if (config_.use_kdtree) {
-    neighbors = tree_.query(query, config_.k);
-  } else {
-    neighbors.reserve(train_.size());
-    for (std::size_t i = 0; i < train_.size(); ++i) {
-      auto row = train_.features(i);
-      std::vector<double> f(row.begin(), row.end());
-      if (config_.standardize) scaler_.transform(f);
-      neighbors.push_back(Neighbor{i, squared_distance(f, query)});
-    }
-    const std::size_t k = std::min(config_.k, neighbors.size());
-    std::partial_sort(neighbors.begin(), neighbors.begin() + static_cast<std::ptrdiff_t>(k),
-                      neighbors.end(), [](const Neighbor& a, const Neighbor& b) {
-                        if (a.squared_dist != b.squared_dist) {
-                          return a.squared_dist < b.squared_dist;
-                        }
-                        return a.index < b.index;
-                      });
-    neighbors.resize(k);
-  }
-
+  const auto target = [&](std::size_t i) {
+    return std::span<const double>(targets_.data() + i * target_dim_,
+                                   target_dim_);
+  };
   std::fill(out.begin(), out.end(), 0.0);
   double weight_sum = 0.0;
-  for (const Neighbor& n : neighbors) {
-    double w = 1.0;
-    if (config_.distance_weighted) {
-      const double d = std::sqrt(n.squared_dist);
-      if (d < 1e-12) {
-        // Exact match: return its target directly.
-        const auto target = train_.targets(n.index);
-        std::copy(target.begin(), target.end(), out.begin());
-        return;
-      }
-      w = 1.0 / d;
+  for (const Neighbor& n : scratch.tree.heap) {
+    const double d = std::sqrt(n.squared_dist);
+    if (d < 1e-12) {
+      // Exact match: return its target directly.
+      const auto t = target(n.index);
+      std::copy(t.begin(), t.end(), out.begin());
+      return;
     }
-    const auto target = train_.targets(n.index);
-    for (std::size_t c = 0; c < out.size(); ++c) out[c] += w * target[c];
+    const double w = 1.0 / d;
+    const auto t = target(n.index);
+    for (std::size_t c = 0; c < out.size(); ++c) out[c] += w * t[c];
     weight_sum += w;
   }
   BD_CHECK(weight_sum > 0.0);
@@ -82,7 +65,7 @@ void KNNRegressor::predict_into(std::span<const double> features,
 
 std::vector<double> KNNRegressor::predict(
     std::span<const double> features) const {
-  std::vector<double> out(train_.target_dim());
+  std::vector<double> out(target_dim_);
   predict_into(features, out);
   return out;
 }

@@ -1,8 +1,10 @@
 #pragma once
 /// \file knn.hpp
 /// k-nearest-neighbor regression (multi-output) — the paper's choice for
-/// the online access-pattern predictor (§III-B1). Supports uniform and
-/// inverse-distance weighting and brute-force or kd-tree backends.
+/// the online access-pattern predictor (§III-B1). Features are always
+/// standardized before distances, neighbors come from an exact kd-tree,
+/// and the prediction is the 1/d-weighted mean of the k neighbors'
+/// targets (an exact match returns its stored target).
 
 #include <cstdint>
 #include <span>
@@ -17,9 +19,6 @@ namespace bd::ml {
 /// kNN hyperparameters.
 struct KnnConfig {
   std::size_t k = 4;
-  bool distance_weighted = true;  ///< 1/d weights (uniform otherwise)
-  bool use_kdtree = true;         ///< brute force when false (for testing)
-  bool standardize = true;        ///< scale features before distances
 };
 
 /// Multi-output kNN regressor.
@@ -27,26 +26,28 @@ class KNNRegressor {
  public:
   explicit KNNRegressor(KnnConfig config = {}) : config_(config) {}
 
-  /// Fit from a dataset (copies the data; kNN is instance-based).
+  /// Fit from a dataset: the kd-tree owns the one standardized copy of the
+  /// features, and only the targets are kept beside it.
   void fit(const Dataset& data);
 
   /// Predict the target vector for one query point.
   std::vector<double> predict(std::span<const double> features) const;
 
-  /// Predict into a caller-provided buffer (avoids allocation in loops).
+  /// Predict into a caller-provided buffer. Reentrant; allocates nothing
+  /// once the calling thread's query scratch is warm.
   void predict_into(std::span<const double> features,
                     std::span<double> out) const;
 
-  bool fitted() const { return !train_.empty(); }
-  std::size_t target_dim() const { return train_.target_dim(); }
+  bool fitted() const { return !tree_.empty(); }
+  std::size_t target_dim() const { return target_dim_; }
   const KnnConfig& config() const { return config_; }
 
  private:
   KnnConfig config_;
-  Dataset train_;
   StandardScaler scaler_;
   KdTree tree_;
-  std::vector<double> scaled_features_;  // scratch for fit
+  std::vector<double> targets_;  ///< row-major, target_dim_ per point
+  std::size_t target_dim_ = 0;
 };
 
 }  // namespace bd::ml

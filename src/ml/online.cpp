@@ -8,13 +8,12 @@ namespace bd::ml {
 
 OnlinePredictor::OnlinePredictor(PredictorKind kind, std::size_t feature_dim,
                                  std::size_t target_dim, std::size_t window,
-                                 KnnConfig knn, LinRegConfig ridge)
+                                 KnnConfig knn)
     : kind_(kind),
       feature_dim_(feature_dim),
       target_dim_(target_dim),
       window_(window),
-      knn_config_(knn),
-      ridge_config_(ridge) {
+      knn_config_(knn) {
   BD_CHECK(feature_dim > 0 && target_dim > 0 && window > 0);
   history_.resize(window_, Dataset(feature_dim_, target_dim_));
 }
@@ -52,13 +51,12 @@ void OnlinePredictor::refit() {
   if (merged.empty()) return;
   switch (kind_) {
     case PredictorKind::kKnn:
-      model_ = std::make_unique<KnnModel>(knn_config_);
+      model_.emplace<KNNRegressor>(knn_config_).fit(merged);
       break;
     case PredictorKind::kRidge:
-      model_ = std::make_unique<RidgeModel>(ridge_config_);
+      model_.emplace<RidgeRegressor>().fit(merged);
       break;
   }
-  model_->fit(merged);
   last_train_seconds_ = timer.seconds();
 }
 
@@ -94,14 +92,33 @@ void OnlinePredictor::load(util::BinaryReader& in) {
     std::vector<double> targets = in.read_f64_vector();
     slot.assign_raw(std::move(features), std::move(targets));
   }
-  model_.reset();
+  model_.emplace<std::monostate>();
   if (steps_seen_ > 0) refit();
 }
 
 void OnlinePredictor::predict_into(std::span<const double> features,
                                    std::span<double> out) const {
   BD_CHECK_MSG(ready(), "predictor not trained yet");
-  model_->predict_into(features, out);
+  if (const auto* knn = std::get_if<KNNRegressor>(&model_)) {
+    knn->predict_into(features, out);
+  } else {
+    std::get<RidgeRegressor>(model_).predict_into(features, out);
+  }
+}
+
+bool OnlinePredictor::ready() const {
+  if (const auto* knn = std::get_if<KNNRegressor>(&model_)) {
+    return knn->fitted();
+  }
+  if (const auto* ridge = std::get_if<RidgeRegressor>(&model_)) {
+    return ridge->fitted();
+  }
+  return false;
+}
+
+const char* OnlinePredictor::model_name() const {
+  if (!ready()) return "none";
+  return std::holds_alternative<KNNRegressor>(model_) ? "knn" : "ridge";
 }
 
 }  // namespace bd::ml

@@ -1,5 +1,6 @@
 #pragma once
-/// Shared test helpers: per-test scratch file paths, and a small
+/// Shared test helpers: per-test scratch file paths, vector-returning
+/// wrappers around the production partition transforms, and a small
 /// rp-problem over a continuum-filled (noise-free) moment history for
 /// solver-level tests.
 
@@ -8,13 +9,17 @@
 
 #include <cctype>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "beam/analytic.hpp"
 #include "beam/history.hpp"
 #include "beam/units.hpp"
 #include "beam/wake.hpp"
+#include "core/forecast.hpp"
 #include "core/problem.hpp"
+#include "quad/partition.hpp"
 
 namespace bd::testing {
 
@@ -32,6 +37,37 @@ inline std::string unique_temp_path(const std::string& stem) {
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }
   return ::testing::TempDir() + "bd_" + key + "_" + stem;
+}
+
+/// The production uniform transform (bound, then fill) as a vector.
+inline std::vector<double> uniform_partition(
+    std::span<const double> pattern, double sub_width, double r_max,
+    double headroom = core::kPartitionHeadroom) {
+  std::vector<double> out(core::pattern_to_partition_bound(pattern, headroom));
+  out.resize(core::pattern_to_partition_into(pattern, sub_width, r_max, out,
+                                             headroom));
+  return out;
+}
+
+/// The production adaptive transform (bound, then fill) as a vector.
+inline std::vector<double> adaptive_partition(
+    std::span<const double> pattern, std::span<const double> previous,
+    double sub_width, double r_max,
+    double headroom = core::kPartitionHeadroom) {
+  std::vector<double> out(core::pattern_to_partition_adaptive_bound(
+      pattern, previous, sub_width, r_max, headroom));
+  out.resize(core::pattern_to_partition_adaptive_into(
+      pattern, previous, sub_width, r_max, out, headroom));
+  return out;
+}
+
+/// The production MERGE-LISTS as a vector.
+inline std::vector<double> merged_partition(std::span<const double> a,
+                                            std::span<const double> b,
+                                            double eps = 1e-12) {
+  std::vector<double> out;
+  quad::merge_partitions_into(a, b, out, eps);
+  return out;
 }
 
 /// Owns everything an RpProblem points to.

@@ -1,4 +1,5 @@
-/// Tests for the kd-tree, including brute-force cross-validation.
+/// Tests for the kd-tree, including bitwise cross-validation against the
+/// brute-force oracle.
 
 #include <gtest/gtest.h>
 
@@ -6,32 +7,12 @@
 #include <vector>
 
 #include "ml/kdtree.hpp"
-#include "ml/linalg.hpp"
+#include "oracles/knn_brute.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace bd::ml {
 namespace {
-
-std::vector<Neighbor> brute_force(const std::vector<double>& points,
-                                  std::size_t count, std::size_t dim,
-                                  std::span<const double> query,
-                                  std::size_t k) {
-  std::vector<Neighbor> all;
-  for (std::size_t i = 0; i < count; ++i) {
-    all.push_back(Neighbor{
-        i, squared_distance(
-               std::span<const double>(points.data() + i * dim, dim), query)});
-  }
-  std::sort(all.begin(), all.end(), [](const Neighbor& a, const Neighbor& b) {
-    if (a.squared_dist != b.squared_dist) {
-      return a.squared_dist < b.squared_dist;
-    }
-    return a.index < b.index;
-  });
-  all.resize(std::min(k, all.size()));
-  return all;
-}
 
 TEST(KdTree, SinglePoint) {
   const std::vector<double> pts{1.0, 2.0};
@@ -99,7 +80,7 @@ TEST(KdTree, DuplicatePointsAllFound) {
   EXPECT_DOUBLE_EQ(nn[2].squared_dist, 0.0);
 }
 
-// Property: kd-tree matches brute force on random point sets.
+// Property: kd-tree matches brute force on random point sets, bit for bit.
 class KdTreeRandom : public ::testing::TestWithParam<std::tuple<int, int, int>> {
 };
 
@@ -114,12 +95,14 @@ TEST_P(KdTreeRandom, MatchesBruteForce) {
     std::vector<double> query(static_cast<std::size_t>(dim));
     for (double& v : query) v = rng.uniform(-12, 12);
     const auto fast = tree.query(query, static_cast<std::size_t>(k));
-    const auto slow = brute_force(pts, static_cast<std::size_t>(count),
-                                  static_cast<std::size_t>(dim), query,
-                                  static_cast<std::size_t>(k));
+    const auto slow = oracle::brute_force_neighbors(
+        pts, static_cast<std::size_t>(count), static_cast<std::size_t>(dim),
+        query, static_cast<std::size_t>(k));
     ASSERT_EQ(fast.size(), slow.size());
     for (std::size_t i = 0; i < fast.size(); ++i) {
-      EXPECT_NEAR(fast[i].squared_dist, slow[i].squared_dist, 1e-12)
+      EXPECT_EQ(fast[i].index, slow[i].index)
+          << "query " << q << " neighbor " << i;
+      EXPECT_EQ(fast[i].squared_dist, slow[i].squared_dist)
           << "query " << q << " neighbor " << i;
     }
   }

@@ -38,8 +38,9 @@
 # arena allocating after warm-up on the rigid steady-state workload.
 # It also runs bench_clustering against
 # tools/perf_baseline_clustering.json (the shipped solver's fallback-item
-# ceiling always; at 128^2/256^2, the >= 5x speedup floor and the
-# inertia-ratio ceiling of coreset training over full-set training),
+# ceiling always; at 128^2/256^2, the ceiling on the ratio of Lloyd
+# distance evaluations and the inertia-ratio ceiling of coreset training
+# over full-set training),
 # bench_fleet against tools/perf_baseline_fleet.json (the
 # fleet-vs-solo digest gate always applies; the aggregate speedup floor
 # only engages on machines with enough hardware threads), bench_simd
