@@ -101,34 +101,36 @@ void save_checkpoint(const Simulation& sim, const std::string& path) {
   telemetry::TraceSpan span("checkpoint.save", "core");
   util::WallTimer timer;
 
-  util::BinaryWriter out;
-  write_config(out, sim.config_);
-  out.write_i64(sim.step_);
-  write_rng(out, sim.rng_.state());
+  // Streamed: the particle and history arrays go to the file from the
+  // simulation's own memory, never through a payload buffer.
+  const std::size_t bytes = util::write_checked_file(
+      path, kCheckpointMagic, kCheckpointVersion,
+      [&sim](util::BinaryWriter& out) {
+        write_config(out, sim.config_);
+        out.write_i64(sim.step_);
+        write_rng(out, sim.rng_.state());
 
-  out.write_f64(sim.particles_.weight());
-  out.write_f64_span(sim.particles_.s());
-  out.write_f64_span(sim.particles_.y());
-  out.write_f64_span(sim.particles_.ps());
-  out.write_f64_span(sim.particles_.py());
+        out.write_f64(sim.particles_.weight());
+        out.write_f64_span(sim.particles_.s());
+        out.write_f64_span(sim.particles_.y());
+        out.write_f64_span(sim.particles_.ps());
+        out.write_f64_span(sim.particles_.py());
 
-  sim.history_.save(out);
-  sim.health_monitor_.save(out);
-  sim.ladder_.save(out);
+        sim.history_.save(out);
+        sim.health_monitor_.save(out);
+        sim.ladder_.save(out);
 
-  write_solver(out, *sim.solver_);
-  out.write_bool(sim.transverse_solver_ != nullptr);
-  if (sim.transverse_solver_) write_solver(out, *sim.transverse_solver_);
-  out.write_u64(sim.fallback_solvers_.size());
-  for (const auto& fallback : sim.fallback_solvers_) {
-    write_solver(out, *fallback);
-  }
-
-  util::write_checked_file(path, kCheckpointMagic, kCheckpointVersion,
-                           out.payload());
+        write_solver(out, *sim.solver_);
+        out.write_bool(sim.transverse_solver_ != nullptr);
+        if (sim.transverse_solver_) write_solver(out, *sim.transverse_solver_);
+        out.write_u64(sim.fallback_solvers_.size());
+        for (const auto& fallback : sim.fallback_solvers_) {
+          write_solver(out, *fallback);
+        }
+      });
 
   telemetry::counter_add("checkpoint.saves");
-  telemetry::gauge_set("checkpoint.bytes", static_cast<double>(out.size()));
+  telemetry::gauge_set("checkpoint.bytes", static_cast<double>(bytes));
   telemetry::histogram_record("checkpoint.save_ms", timer.seconds() * 1e3);
 }
 

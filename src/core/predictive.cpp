@@ -393,6 +393,12 @@ void PredictiveSolver::load_state(util::BinaryReader& in) {
   quad::read_partition_set_nested(in, previous_partitions_);
   const std::uint64_t points = in.read_u64();
   const std::uint64_t subregions = in.read_u64();
+  // Bound the field by the bytes left before sizing it: the product of
+  // two corrupt counts can wrap.
+  BD_CHECK_MSG(subregions == 0 ||
+                   points <= in.remaining() / sizeof(double) / subregions,
+               "corrupt smoothed pattern field: " << points << " x "
+                                                  << subregions);
   smoothed_ = PatternField(points, subregions);
   in.read_f64_into(smoothed_.flat());
   cluster_cache_.dim = in.read_u64();

@@ -75,6 +75,7 @@ double box_distance(std::span<const double> offsets) {
 void KdTree::search(std::int32_t node_id, const double* q, std::size_t k,
                     Scratch& scratch) const {
   const Node& node = nodes_[static_cast<std::size_t>(node_id)];
+  ++scratch.nodes_visited;
   const double* p = point(node.point);
   double d2 = 0.0;
   for (std::size_t c = 0; c < dim_; ++c) {
@@ -119,6 +120,7 @@ void KdTree::query_into(std::span<const double> query, std::size_t k,
   BD_CHECK_MSG(k > 0, "k must be positive");
   scratch.heap.clear();
   scratch.offsets.assign(dim_, 0.0);
+  scratch.nodes_visited = 0;
   search(root_, query.data(), k, scratch);
   std::sort_heap(scratch.heap.begin(), scratch.heap.end(), heap_less);
 }

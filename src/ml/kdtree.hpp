@@ -27,6 +27,7 @@ class KdTree {
   struct Scratch {
     std::vector<Neighbor> heap;    ///< result, sorted ascending
     std::vector<double> offsets;   ///< per-axis query-to-cell offsets
+    std::uint64_t nodes_visited = 0;  ///< nodes the last query examined
   };
 
   KdTree() = default;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/check.hpp"
+#include "util/telemetry.hpp"
 
 namespace bd::ml {
 
@@ -39,6 +40,8 @@ void KNNRegressor::predict_into(std::span<const double> features,
   scratch.query.assign(features.begin(), features.end());
   scaler_.transform(scratch.query);
   tree_.query_into(scratch.query, config_.k, scratch.tree);
+  util::telemetry::counter_add("knn.nodes_visited",
+                               scratch.tree.nodes_visited);
 
   const auto target = [&](std::size_t i) {
     return std::span<const double>(targets_.data() + i * target_dim_,

@@ -34,7 +34,9 @@ class KNNRegressor {
   std::vector<double> predict(std::span<const double> features) const;
 
   /// Predict into a caller-provided buffer. Reentrant; allocates nothing
-  /// once the calling thread's query scratch is warm.
+  /// once the calling thread's query scratch is warm. Adds the kd-tree
+  /// nodes the query examined to the `knn.nodes_visited` counter, once
+  /// per call.
   void predict_into(std::span<const double> features,
                     std::span<double> out) const;
 

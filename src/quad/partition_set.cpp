@@ -125,6 +125,11 @@ void write_partition_set_nested(util::BinaryWriter& out,
 
 void read_partition_set_nested(util::BinaryReader& in, PartitionSet& set) {
   const std::uint64_t entries = in.read_u64();
+  // Each entry needs at least its 8-byte length prefix: a corrupt count
+  // is refused before anything is sized.
+  BD_CHECK_MSG(entries <= in.remaining() / sizeof(std::uint64_t),
+               "truncated payload: " << entries << " partition entries, have "
+                                     << in.remaining() << " bytes");
   set.reset(entries);
   std::vector<double> row;
   for (std::uint64_t e = 0; e < entries; ++e) {

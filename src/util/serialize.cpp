@@ -1,8 +1,12 @@
 #include "util/serialize.hpp"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <charconv>
 #include <csignal>
@@ -16,31 +20,57 @@
 
 namespace bd::util {
 
+// Every multi-byte field is copied to and from its little-endian wire form
+// with memcpy; a big-endian port would need a byte-swap path here.
+static_assert(std::endian::native == std::endian::little,
+              "the checked-file encoding assumes a little-endian host");
+
 namespace {
 
-/// CRC-32 lookup table for the reflected IEEE polynomial 0xEDB88320.
-const std::uint32_t* crc_table() {
-  static const auto table = [] {
-    static std::uint32_t t[256];
+/// Slicing-by-8 tables for the reflected IEEE polynomial 0xEDB88320:
+/// t[0] is the classic bytewise table, t[k][b] the CRC of byte b followed
+/// by k zero bytes.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+const CrcTables& crc_tables() {
+  static const CrcTables tables = [] {
+    CrcTables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
 }
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed) {
-  const std::uint32_t* table = crc_table();
+  const CrcTables& t = crc_tables();
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::byte b : data) {
-    c = table[(c ^ static_cast<std::uint8_t>(b)) & 0xFFu] ^ (c >> 8);
+  const std::byte* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; n -= 8, p += 8) {
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= c;
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) {
+    c = t[0][(c ^ static_cast<std::uint8_t>(*p)) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -49,47 +79,63 @@ std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed) {
 // BinaryWriter
 // ---------------------------------------------------------------------------
 
-void BinaryWriter::write_u8(std::uint8_t v) {
-  buffer_.push_back(static_cast<std::byte>(v));
+namespace {
+/// A streaming writer buffers up to this many bytes before handing them to
+/// its sink; runs at least this long (the particle arrays) bypass the
+/// buffer and go to the sink from the caller's memory.
+constexpr std::size_t kStreamChunk = 64 * 1024;
+}  // namespace
+
+BinaryWriter::BinaryWriter(Sink sink) : sink_(std::move(sink)) {
+  buffer_.reserve(kStreamChunk);
 }
 
-void BinaryWriter::write_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buffer_.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFFu));
+void BinaryWriter::append(const void* data, std::size_t n) {
+  const auto* bytes = static_cast<const std::byte*>(data);
+  if (sink_ && n >= kStreamChunk) {
+    flush();
+    sink_(std::span<const std::byte>(bytes, n));
+    streamed_ += n;
+    return;
   }
+  buffer_.insert(buffer_.end(), bytes, bytes + n);
+  if (sink_ && buffer_.size() >= kStreamChunk) flush();
 }
 
-void BinaryWriter::write_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buffer_.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFFu));
-  }
+void BinaryWriter::flush() {
+  if (buffer_.empty()) return;
+  sink_(buffer_);
+  streamed_ += buffer_.size();
+  buffer_.clear();
 }
+
+void BinaryWriter::write_u8(std::uint8_t v) { append(&v, 1); }
+
+void BinaryWriter::write_u32(std::uint32_t v) { append(&v, sizeof v); }
+
+void BinaryWriter::write_u64(std::uint64_t v) { append(&v, sizeof v); }
 
 void BinaryWriter::write_i64(std::int64_t v) {
   write_u64(static_cast<std::uint64_t>(v));
 }
 
-void BinaryWriter::write_f64(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  write_u64(bits);
-}
+void BinaryWriter::write_f64(double v) { append(&v, sizeof v); }
 
 void BinaryWriter::write_bool(bool v) { write_u8(v ? 1 : 0); }
 
 void BinaryWriter::write_string(std::string_view s) {
   write_u64(s.size());
-  for (char c : s) buffer_.push_back(static_cast<std::byte>(c));
+  append(s.data(), s.size());
 }
 
 void BinaryWriter::write_f64_span(std::span<const double> values) {
   write_u64(values.size());
-  for (double v : values) write_f64(v);
+  append(values.data(), values.size_bytes());
 }
 
 void BinaryWriter::write_bytes(std::span<const std::byte> bytes) {
   write_u64(bytes.size());
-  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
+  append(bytes.data(), bytes.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -109,20 +155,14 @@ std::uint8_t BinaryReader::read_u8() {
 }
 
 std::uint32_t BinaryReader::read_u32() {
-  const std::byte* p = take(4);
   std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(p[i])) << (8 * i);
-  }
+  std::memcpy(&v, take(sizeof v), sizeof v);
   return v;
 }
 
 std::uint64_t BinaryReader::read_u64() {
-  const std::byte* p = take(8);
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i])) << (8 * i);
-  }
+  std::memcpy(&v, take(sizeof v), sizeof v);
   return v;
 }
 
@@ -131,9 +171,8 @@ std::int64_t BinaryReader::read_i64() {
 }
 
 double BinaryReader::read_f64() {
-  const std::uint64_t bits = read_u64();
   double v = 0.0;
-  std::memcpy(&v, &bits, sizeof v);
+  std::memcpy(&v, take(sizeof v), sizeof v);
   return v;
 }
 
@@ -150,10 +189,13 @@ std::string BinaryReader::read_string() {
 
 std::vector<double> BinaryReader::read_f64_vector() {
   const std::uint64_t n = read_u64();
-  BD_CHECK_MSG(n * sizeof(double) <= remaining(),
-               "truncated payload: f64 array of " << n << " elements");
+  // Divide, never multiply: n * 8 wraps for a corrupt n >= 2^61.
+  BD_CHECK_MSG(n <= remaining() / sizeof(double),
+               "truncated payload: f64 array of " << n << " elements, have "
+                                                  << remaining() << " bytes");
   std::vector<double> out(static_cast<std::size_t>(n));
-  for (double& v : out) v = read_f64();
+  const std::size_t bytes = out.size() * sizeof(double);
+  if (bytes > 0) std::memcpy(out.data(), take(bytes), bytes);
   return out;
 }
 
@@ -161,7 +203,9 @@ void BinaryReader::read_f64_into(std::span<double> out) {
   const std::uint64_t n = read_u64();
   BD_CHECK_MSG(n == out.size(), "f64 array size mismatch: stored "
                                     << n << ", expected " << out.size());
-  for (double& v : out) v = read_f64();
+  if (!out.empty()) {
+    std::memcpy(out.data(), take(out.size_bytes()), out.size_bytes());
+  }
 }
 
 std::vector<std::byte> BinaryReader::read_bytes() {
@@ -180,6 +224,9 @@ void write_nested_f64(BinaryWriter& out,
 
 std::vector<std::vector<double>> read_nested_f64(BinaryReader& in) {
   const std::uint64_t n = in.read_u64();
+  BD_CHECK_MSG(n <= in.remaining() / sizeof(std::uint64_t),
+               "truncated payload: " << n << " nested f64 arrays, have "
+                                     << in.remaining() << " bytes");
   std::vector<std::vector<double>> out;
   out.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) out.push_back(in.read_f64_vector());
@@ -199,36 +246,24 @@ struct FileCloser {
 };
 using FileHandle = std::unique_ptr<std::FILE, FileCloser>;
 
-void append_header(std::vector<std::byte>& out, std::uint32_t magic,
-                   std::uint32_t version, std::uint64_t payload_size,
-                   std::uint32_t crc) {
-  BinaryWriter header;
-  header.write_u32(magic);
-  header.write_u32(version);
-  header.write_u64(payload_size);
-  header.write_u32(crc);
-  const auto bytes = header.payload();
-  out.insert(out.end(), bytes.begin(), bytes.end());
-}
+constexpr std::size_t kHeaderSize = 20;  // magic + version + size + crc
+
+/// Pieces of at most this many bytes are checksummed and then written (or
+/// read and then checksummed) while they are still in cache.
+constexpr std::size_t kCrcSlice = 256 * 1024;
 
 }  // namespace
 
-void write_checked_file(const std::string& path, std::uint32_t magic,
-                        std::uint32_t version,
-                        std::span<const std::byte> payload) {
-  std::vector<std::byte> file;
-  file.reserve(payload.size() + 20);
-  append_header(file, magic, version, payload.size(), crc32(payload));
-  file.insert(file.end(), payload.begin(), payload.end());
-
-  // Deterministic crash-mid-write fault: flush only a prefix of the temp
-  // file and bail before the rename — the previous snapshot must survive.
-  std::size_t write_size = file.size();
+std::size_t write_checked_file(
+    const std::string& path, std::uint32_t magic, std::uint32_t version,
+    const std::function<void(BinaryWriter&)>& encode) {
+  // Deterministic crash-mid-write fault: abandon the temp file before its
+  // header is written and bail before the rename — the previous snapshot
+  // must survive.
   const bool truncate_fault =
       faultinject::enabled() &&
       faultinject::fire(faultinject::FaultClass::kCheckpointTruncate, -1)
           .has_value();
-  if (truncate_fault) write_size = file.size() / 2;
 
   // The temp name must be unique per process *and* per writer: two sims
   // checkpointing into the same directory (or two processes sharing a
@@ -241,26 +276,50 @@ void write_checked_file(const std::string& path, std::uint32_t magic,
   const std::string tmp = path + ".tmp." +
                           std::to_string(static_cast<long>(::getpid())) + "." +
                           std::to_string(seq);
-  {
-    FileHandle f(std::fopen(tmp.c_str(), "wb"));
-    BD_CHECK_MSG(f != nullptr, "cannot open " << tmp << " for writing");
-    const std::size_t written =
-        std::fwrite(file.data(), 1, write_size, f.get());
-    if (written != write_size || std::fflush(f.get()) != 0) {
-      f.reset();
-      std::remove(tmp.c_str());
-      BD_CHECK_MSG(false, "short write to " << tmp);
-    }
-  }
-  if (truncate_fault) {
+  FileHandle f(std::fopen(tmp.c_str(), "wb"));
+  BD_CHECK_MSG(f != nullptr, "cannot open " << tmp << " for writing");
+  std::size_t payload_size = 0;
+  try {
+    const auto put = [&](std::span<const std::byte> bytes) {
+      BD_CHECK_MSG(std::fwrite(bytes.data(), 1, bytes.size(), f.get()) ==
+                       bytes.size(),
+                   "short write to " << tmp);
+    };
+    put(std::array<std::byte, kHeaderSize>{});  // placeholder
+    std::uint32_t crc = 0;
+    BinaryWriter out([&](std::span<const std::byte> piece) {
+      for (std::size_t at = 0; at < piece.size(); at += kCrcSlice) {
+        const auto slice =
+            piece.subspan(at, std::min(kCrcSlice, piece.size() - at));
+        crc = crc32(slice, crc);
+        put(slice);
+      }
+    });
+    encode(out);
+    out.flush();
+    BD_CHECK_MSG(!truncate_fault, "fault injected: checkpoint write to "
+                                      << path << " truncated mid-file");
+    BD_CHECK_MSG(std::fseek(f.get(), 0, SEEK_SET) == 0,
+                 "cannot seek in " << tmp);
+    BinaryWriter header;
+    header.write_u32(magic);
+    header.write_u32(version);
+    header.write_u64(out.size());
+    header.write_u32(crc);
+    put(header.payload());
+    BD_CHECK_MSG(std::fflush(f.get()) == 0, "short write to " << tmp);
+    payload_size = out.size();
+  } catch (...) {
+    f.reset();
     std::remove(tmp.c_str());
-    BD_CHECK_MSG(false, "fault injected: checkpoint write to "
-                            << path << " truncated mid-file");
+    throw;
   }
+  f.reset();
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     BD_CHECK_MSG(false, "cannot rename " << tmp << " over " << path);
   }
+  return payload_size;
 }
 
 std::size_t remove_dead_stage_files(const std::string& dir) {
@@ -297,19 +356,16 @@ std::vector<std::byte> read_checked_file(const std::string& path,
                                          std::uint32_t& version_out) {
   FileHandle f(std::fopen(path.c_str(), "rb"));
   BD_CHECK_MSG(f != nullptr, "cannot open checkpoint file: " << path);
-  std::vector<std::byte> file;
-  std::byte chunk[65536];
-  std::size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof chunk, f.get())) > 0) {
-    file.insert(file.end(), chunk, chunk + n);
-  }
-  BD_CHECK_MSG(std::ferror(f.get()) == 0, "read error on " << path);
-
-  constexpr std::size_t kHeaderSize = 20;  // magic + version + size + crc
-  BD_CHECK_MSG(file.size() >= kHeaderSize,
-               path << ": too short to be a checkpoint (" << file.size()
+  struct stat st {};
+  BD_CHECK_MSG(::fstat(::fileno(f.get()), &st) == 0, "cannot stat " << path);
+  const auto file_size = static_cast<std::uint64_t>(st.st_size);
+  BD_CHECK_MSG(file_size >= kHeaderSize,
+               path << ": too short to be a checkpoint (" << file_size
                     << " bytes)");
-  BinaryReader header(std::span<const std::byte>(file.data(), kHeaderSize));
+  std::array<std::byte, kHeaderSize> raw{};
+  BD_CHECK_MSG(std::fread(raw.data(), 1, kHeaderSize, f.get()) == kHeaderSize,
+               "read error on " << path);
+  BinaryReader header(raw);
   const std::uint32_t stored_magic = header.read_u32();
   BD_CHECK_MSG(stored_magic == magic,
                path << ": bad magic 0x" << std::hex << stored_magic
@@ -317,16 +373,23 @@ std::vector<std::byte> read_checked_file(const std::string& path,
   version_out = header.read_u32();
   const std::uint64_t payload_size = header.read_u64();
   const std::uint32_t stored_crc = header.read_u32();
-  BD_CHECK_MSG(file.size() - kHeaderSize == payload_size,
+  BD_CHECK_MSG(file_size - kHeaderSize == payload_size,
                path << ": truncated payload — header declares " << payload_size
-                    << " bytes, file holds " << (file.size() - kHeaderSize));
-  const std::span<const std::byte> payload(file.data() + kHeaderSize,
-                                           static_cast<std::size_t>(payload_size));
-  const std::uint32_t actual_crc = crc32(payload);
+                    << " bytes, file holds " << (file_size - kHeaderSize));
+
+  std::vector<std::byte> payload(static_cast<std::size_t>(payload_size));
+  std::uint32_t actual_crc = 0;
+  for (std::size_t at = 0; at < payload.size(); at += kCrcSlice) {
+    const std::size_t n = std::min(kCrcSlice, payload.size() - at);
+    BD_CHECK_MSG(std::fread(payload.data() + at, 1, n, f.get()) == n,
+                 path << ": read error or file shrank at payload byte " << at);
+    actual_crc = crc32(std::span<const std::byte>(payload.data() + at, n),
+                       actual_crc);
+  }
   BD_CHECK_MSG(actual_crc == stored_crc,
                path << ": CRC mismatch — stored 0x" << std::hex << stored_crc
                     << ", computed 0x" << actual_crc);
-  return std::vector<std::byte>(payload.begin(), payload.end());
+  return payload;
 }
 
 // ---------------------------------------------------------------------------

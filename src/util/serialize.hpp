@@ -13,11 +13,14 @@
 ///
 /// BinaryWriter/BinaryReader provide the typed little-endian payload
 /// encoding. Every read is bounds-checked; running off the end of a
-/// payload throws bd::CheckError. All multi-byte values are encoded
-/// little-endian regardless of host order, so snapshots are portable.
+/// payload, or a length prefix larger than the bytes left, throws
+/// bd::CheckError. Multi-byte values are stored little-endian and copied
+/// with memcpy, so the build requires a little-endian host (checked at
+/// compile time); the files themselves are portable.
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -29,9 +32,13 @@ namespace bd::util {
 /// Chain blocks by feeding the previous result as `seed`.
 std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed = 0);
 
-/// Append-only typed encoder for a checkpoint payload.
+/// Append-only typed encoder for a checkpoint payload. A default writer
+/// keeps every byte in memory (payload()). A streaming writer, which only
+/// write_checked_file() makes, hands its bytes to a sink in pieces instead.
 class BinaryWriter {
  public:
+  BinaryWriter() = default;
+
   void write_u8(std::uint8_t v);
   void write_u32(std::uint32_t v);
   void write_u64(std::uint64_t v);
@@ -45,11 +52,27 @@ class BinaryWriter {
   /// Length-prefixed raw byte block (for nested / opaque payloads).
   void write_bytes(std::span<const std::byte> bytes);
 
+  /// The encoded bytes of an in-memory writer.
   std::span<const std::byte> payload() const { return buffer_; }
-  std::size_t size() const { return buffer_.size(); }
+  /// Bytes encoded so far.
+  std::size_t size() const { return streamed_ + buffer_.size(); }
 
  private:
+  friend std::size_t write_checked_file(
+      const std::string&, std::uint32_t, std::uint32_t,
+      const std::function<void(BinaryWriter&)>&);
+
+  /// Receives the encoded bytes of a streaming writer, in order.
+  using Sink = std::function<void(std::span<const std::byte>)>;
+
+  explicit BinaryWriter(Sink sink);
+  void append(const void* data, std::size_t n);
+  /// Hand the buffered bytes to the sink (streaming writers only).
+  void flush();
+
   std::vector<std::byte> buffer_;
+  Sink sink_;
+  std::size_t streamed_ = 0;
 };
 
 /// Bounds-checked typed decoder over a payload. Reads must mirror the
@@ -66,7 +89,9 @@ class BinaryReader {
   double read_f64();
   bool read_bool();
   std::string read_string();
-  /// Read a length-prefixed f64 array into a fresh vector.
+  /// Read a length-prefixed f64 array into a fresh vector. The stored
+  /// length is checked against the bytes left before anything is
+  /// allocated.
   std::vector<double> read_f64_vector();
   /// Read a length-prefixed f64 array into `out`; the stored length must
   /// equal out.size() (in-place restore without reallocation).
@@ -85,21 +110,27 @@ class BinaryReader {
 };
 
 /// Nested vector-of-vectors of doubles (per-point quadrature partitions).
+/// The reader bounds the stored row count by the bytes left (each row
+/// needs at least its 8-byte length prefix).
 void write_nested_f64(BinaryWriter& out,
                       const std::vector<std::vector<double>>& values);
 std::vector<std::vector<double>> read_nested_f64(BinaryReader& in);
 
-/// Atomically write a checked file: the header+payload go to a unique
-/// `path + ".tmp.<pid>.<seq>"` sibling first and are renamed over `path`
-/// only once fully flushed, so `path` always holds either the previous
-/// snapshot or the complete new one — and concurrent writers (two sims
-/// checkpointing into one directory, or two processes sharing a spool)
-/// can never clobber each other's in-flight temp file.
-/// Throws bd::CheckError on I/O failure (the previous file is untouched
-/// and the temp file is removed).
-void write_checked_file(const std::string& path, std::uint32_t magic,
-                        std::uint32_t version,
-                        std::span<const std::byte> payload);
+/// Atomically write a checked file whose payload `encode` writes into the
+/// streaming writer it is given. The bytes go to a unique
+/// `path + ".tmp.<pid>.<seq>"` sibling: a 20-byte placeholder header
+/// first, then the payload in pieces as it is encoded (CRC chained over
+/// each piece), then the real header over the placeholder. Only once that
+/// is flushed is the temp file renamed over `path`, so `path` always holds
+/// either the previous snapshot or the complete new one — and concurrent
+/// writers (two sims checkpointing into one directory, or two processes
+/// sharing a spool) can never clobber each other's in-flight temp file.
+/// Throws bd::CheckError on I/O failure, or whatever `encode` throws; the
+/// previous file is then untouched and the temp file is removed. Returns
+/// the payload size.
+std::size_t write_checked_file(
+    const std::string& path, std::uint32_t magic, std::uint32_t version,
+    const std::function<void(BinaryWriter&)>& encode);
 
 /// Remove the staging files write_checked_file() left in `dir` when its
 /// process crashed mid-write: `<path>.tmp.<pid>.<seq>` whose pid is
@@ -109,7 +140,9 @@ void write_checked_file(const std::string& path, std::uint32_t magic,
 std::size_t remove_dead_stage_files(const std::string& dir);
 
 /// Read and validate a checked file: magic, declared payload size and
-/// CRC32 must all match or bd::CheckError is thrown. Returns the payload;
+/// CRC32 must all match or bd::CheckError is thrown. The declared size is
+/// checked against the file size before the one payload buffer is
+/// allocated, and the payload is read straight into it. Returns the payload;
 /// `version_out` receives the stored format version (callers dispatch on
 /// it — see docs/ROBUSTNESS.md for the version policy).
 std::vector<std::byte> read_checked_file(const std::string& path,

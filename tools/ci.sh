@@ -114,7 +114,7 @@ stress() {
   cmake --build --preset default -j "$(nproc)"
   ctest --preset default -j "$((2 * $(nproc)))" --schedule-random \
     --repeat until-fail:5 \
-    -R "CheckedFile|JournalFrame|Checkpoint|Csv|Fleet|TraceSession|GuardedSim|Determinism"
+    -R "Serialize|CheckedFile|JournalFrame|Checkpoint|Csv|Fleet|TraceSession|GuardedSim|Determinism"
 }
 
 perf_smoke() {
