@@ -42,16 +42,7 @@ core::SolveResult HeuristicSolver::solve(const core::RpProblem& problem) {
   util::WallTimer forecast_timer;
   const double reuse_start = session.enabled() ? session.now_us() : 0.0;
   if (bootstrap) {
-    const auto ones = scratch.acquire_fill(scratch.ones,
-                                           problem.num_subregions, 1.0);
-    previous_partitions_.reset(num_points);
-    const auto slot = scratch.acquire(
-        scratch.merge_a,
-        core::pattern_to_partition_bound(ones, /*headroom=*/1.0));
-    const std::size_t len = core::pattern_to_partition_into(
-        ones, problem.sub_width, problem.r_max(), slot, /*headroom=*/1.0);
-    previous_partitions_.bind_all(
-        previous_partitions_.add_row(slot.first(len)));
+    core::bind_coarse_partition(problem, scratch, previous_partitions_);
   }
   const double forecast_seconds = forecast_timer.seconds();
   if (session.enabled()) {
@@ -60,12 +51,13 @@ core::SolveResult HeuristicSolver::solve(const core::RpProblem& problem) {
   }
 
   // Heuristic 2: coarse workload buckets (log2 of the partition size),
-  // row-major within each bucket.
+  // row-major within each bucket. The bootstrap step has one partition for
+  // every point, so it keeps plain row-major blocks.
   util::WallTimer cluster_timer;
   const double sort_start = session.enabled() ? session.now_us() : 0.0;
   core::ClusterAssignment blocks;
-  if (bootstrap || !options_.workload_sort) {
-    blocks = core::chunk_clustering(num_points, options_.block_size);
+  if (bootstrap) {
+    blocks = core::chunk_clustering(num_points, core::kBlockPoints);
   } else {
     std::vector<std::uint32_t> order(num_points);
     std::iota(order.begin(), order.end(), 0u);
@@ -79,7 +71,7 @@ core::SolveResult HeuristicSolver::solve(const core::RpProblem& problem) {
                      [&](std::uint32_t a, std::uint32_t b) {
                        return bucket[a] > bucket[b];
                      });
-    blocks = core::ordered_clustering(order, options_.block_size);
+    blocks = core::ordered_clustering(order, core::kBlockPoints);
   }
   const double clustering_seconds = cluster_timer.seconds();
   if (session.enabled()) {

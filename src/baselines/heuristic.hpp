@@ -10,9 +10,9 @@
 ///     intervals that fail are refined by the adaptive fallback and the
 ///     refinement is folded into the stored partition.
 ///  2. *Workload balance*: points are bucketed by the coarse size of their
-///     partition (log2) before being chunked into thread blocks, so lanes
-///     of a warp execute similar trip counts; row-major order within a
-///     bucket preserves spatial locality.
+///     partition (log2) before being chunked into thread blocks of
+///     core::kBlockPoints, so lanes of a warp execute similar trip counts;
+///     row-major order within a bucket preserves spatial locality.
 ///
 /// Unlike Predictive-RP there is no learned model and no coarsening
 /// estimate: reuse is strictly per-point history, refinement-only — the
@@ -26,17 +26,10 @@
 
 namespace bd::baselines {
 
-/// Options of the Heuristic baseline.
-struct HeuristicOptions {
-  std::uint32_t block_size = 128;   ///< threads per block
-  bool workload_sort = true;        ///< heuristic 2 (off = row-major blocks)
-};
-
 class HeuristicSolver final : public core::RpSolver {
  public:
-  explicit HeuristicSolver(simt::DeviceSpec device,
-                           HeuristicOptions options = {})
-      : device_(std::move(device)), options_(options) {}
+  explicit HeuristicSolver(simt::DeviceSpec device)
+      : device_(std::move(device)) {}
 
   core::SolveResult solve(const core::RpProblem& problem) override;
   const char* name() const override { return "heuristic-rp"; }
@@ -48,7 +41,6 @@ class HeuristicSolver final : public core::RpSolver {
 
  private:
   simt::DeviceSpec device_;
-  HeuristicOptions options_;
   /// Per-point partitions carried between steps (heuristic 1).
   quad::PartitionSet previous_partitions_;
 };

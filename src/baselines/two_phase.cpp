@@ -13,19 +13,11 @@ core::SolveResult TwoPhaseSolver::solve(const core::RpProblem& problem) {
 
   // Phase 1: fixed first-level partition — one interval per subregion,
   // identical for every grid point (a single row aliased by every entry).
-  const auto ones = scratch.acquire_fill(scratch.ones,
-                                         problem.num_subregions, 1.0);
   quad::PartitionSet& parts = scratch.point_partitions;
-  parts.reset(problem.num_points());
-  const auto slot = scratch.acquire(
-      scratch.merge_a,
-      core::pattern_to_partition_bound(ones, /*headroom=*/1.0));
-  const std::size_t len = core::pattern_to_partition_into(
-      ones, problem.sub_width, problem.r_max(), slot, /*headroom=*/1.0);
-  parts.bind_all(parts.add_row(slot.first(len)));
+  core::bind_coarse_partition(problem, scratch, parts);
 
   const core::ClusterAssignment blocks =
-      core::chunk_clustering(problem.num_points(), options_.block_size);
+      core::chunk_clustering(problem.num_points(), core::kBlockPoints);
 
   core::RpKernelInput input;
   input.problem = &problem;

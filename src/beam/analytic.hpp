@@ -3,9 +3,8 @@
 /// Continuum analytic reference for the rigid Gaussian bunch — the "exact
 /// analytical results" of the paper's validation (§V-A). For the separable
 /// continuum density ρ(s, y) = λ_σs(s)·g_σy(y), the effective force
-/// factorizes into a 1-D radial wake integral (computed here to 1e-12 by
-/// adaptive Gauss quadrature; the Gaussian-convolution transverse factor is
-/// closed-form).
+/// factorizes into a 1-D radial wake integral and a windowed transverse
+/// factor, both computed here to 1e-12 by adaptive Gauss quadrature.
 
 #include "beam/units.hpp"
 #include "beam/wake.hpp"
@@ -23,12 +22,6 @@ double gaussian_pdf_prime(double x, double sigma);
 double analytic_radial_factor(double s, const WakeModel& model,
                               const BeamParams& params, double r_max,
                               double abs_tol = 1e-12);
-
-/// Transverse factor T(y): the coupling kernel convolved with the bunch's
-/// transverse profile — a Gaussian (or its derivative) of width
-/// sqrt(σ_c² + σ_y²), in closed form (full, un-windowed convolution).
-double analytic_transverse_factor(double y, const WakeModel& model,
-                                  const BeamParams& params);
 
 /// Transverse factor restricted to the integrand's finite inner window
 /// [y - w, y + w] (w = inner_halfwidth_sigmas·σ_c) — the operator the

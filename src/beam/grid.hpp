@@ -58,14 +58,8 @@ class Grid2D {
 
   void fill(double value);
 
-  /// Bilinear interpolation at physical (x, y); zero outside the grid.
-  double bilinear(double x, double y) const;
-
   /// Sum of all node values (≈ integral / (dx·dy) for deposited charge).
   double sum() const;
-
-  /// Maximum absolute node value.
-  double max_abs() const;
 
  private:
   GridSpec spec_;

@@ -27,8 +27,9 @@ void read_solver(util::BinaryReader& in, RpSolver& solver,
   BD_CHECK_MSG(name == solver.name(),
                which << " solver mismatch: checkpoint has '" << name
                      << "', simulation has '" << solver.name() << "'");
-  const std::vector<std::byte> bytes = in.read_bytes();
-  util::BinaryReader sub(bytes);
+  // The solver block is read in place: the span points into `in`'s
+  // payload, which outlives `sub`.
+  util::BinaryReader sub(in.read_bytes());
   solver.load_state(sub);
   BD_CHECK_MSG(sub.done(), which << " solver '" << name
                                  << "' left unread checkpoint state");

@@ -111,6 +111,10 @@ ClusterAssignment rp_clustering_tiled(const PatternField& patterns,
                                       const beam::GridSpec& spec,
                                       const TiledClusteringOptions& options);
 
+/// Points per block of the bootstrap and baseline clusterings: one
+/// 128-thread block.
+inline constexpr std::size_t kBlockPoints = 128;
+
 /// Trivial clustering used by bootstrap steps and baselines: consecutive
 /// row-major chunks of `chunk` points.
 ClusterAssignment chunk_clustering(std::size_t points, std::size_t chunk);

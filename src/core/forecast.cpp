@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/problem.hpp"
+#include "core/solver_scratch.hpp"
+#include "quad/partition_set.hpp"
 #include "util/check.hpp"
 
 namespace bd::core {
@@ -152,6 +155,18 @@ std::size_t pattern_to_partition_adaptive_into(
   }
   if (out[len - 1] < r_max) out[len++] = r_max;
   return len;
+}
+
+void bind_coarse_partition(const RpProblem& problem, SolverScratch& scratch,
+                           quad::PartitionSet& set) {
+  const auto ones =
+      scratch.acquire_fill(scratch.ones, problem.num_subregions, 1.0);
+  set.reset(problem.num_points());
+  const auto slot = scratch.acquire(
+      scratch.merge_a, pattern_to_partition_bound(ones, /*headroom=*/1.0));
+  const std::size_t len = pattern_to_partition_into(
+      ones, problem.sub_width, problem.r_max(), slot, /*headroom=*/1.0);
+  set.bind_all(set.add_row(slot.first(len)));
 }
 
 }  // namespace bd::core

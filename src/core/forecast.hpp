@@ -10,7 +10,14 @@
 #include <cstdint>
 #include <span>
 
+namespace bd::quad {
+class PartitionSet;
+}  // namespace bd::quad
+
 namespace bd::core {
+
+struct RpProblem;
+struct SolverScratch;
 
 /// Partition transform selector (§III-C2).
 enum class PartitionTransform {
@@ -64,5 +71,13 @@ std::size_t pattern_to_partition_adaptive_into(
     std::span<const double> pattern, std::span<const double> previous,
     double sub_width, double r_max, std::span<double> out,
     double headroom = kPartitionHeadroom);
+
+/// The coarse first-level partition of Two-Phase-RP and of every solver's
+/// bootstrap step: one interval per subregion (the uniform transform of an
+/// all-ones pattern, no headroom), stored once in `set` and bound to all of
+/// `problem`'s points. Staging uses `scratch`, so steady-state calls do not
+/// allocate.
+void bind_coarse_partition(const RpProblem& problem, SolverScratch& scratch,
+                           quad::PartitionSet& set);
 
 }  // namespace bd::core

@@ -7,6 +7,7 @@
 
 #include "core/rp_kernels.hpp"
 #include "core/solver_scratch.hpp"
+#include "ml/metrics.hpp"
 #include "quad/partition.hpp"
 #include "util/check.hpp"
 #include "util/faultinject.hpp"
@@ -34,17 +35,6 @@ constexpr std::size_t kTrainingStride = 4;
 /// EMA factor blending new observations into the training targets (damps
 /// refine/coarsen oscillation).
 constexpr double kObservationEma = 0.5;
-
-/// Mean absolute error between the forecast and observed pattern fields.
-double pattern_mae(const PatternField& predicted,
-                   const PatternField& observed) {
-  const auto p = predicted.flat();
-  const auto o = observed.flat();
-  if (p.size() != o.size() || p.empty()) return 0.0;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < p.size(); ++i) sum += std::abs(p[i] - o[i]);
-  return sum / static_cast<double>(p.size());
-}
 }  // namespace
 
 PredictiveSolver::PredictiveSolver(simt::DeviceSpec device,
@@ -95,18 +85,11 @@ SolveResult PredictiveSolver::solve_bootstrap(const RpProblem& problem) {
   SolverScratch& scratch = scratch_for(problem);
 
   // Single coarse row (one interval per subregion) aliased by every point.
-  const auto ones = scratch.acquire_fill(scratch.ones,
-                                         problem.num_subregions, 1.0);
   quad::PartitionSet& parts = scratch.point_partitions;
-  parts.reset(problem.num_points());
-  const auto slot = scratch.acquire(
-      scratch.merge_a, pattern_to_partition_bound(ones, /*headroom=*/1.0));
-  const std::size_t len = pattern_to_partition_into(
-      ones, problem.sub_width, problem.r_max(), slot, /*headroom=*/1.0);
-  parts.bind_all(parts.add_row(slot.first(len)));
+  bind_coarse_partition(problem, scratch, parts);
 
   const ClusterAssignment blocks =
-      chunk_clustering(problem.num_points(), 128);
+      chunk_clustering(problem.num_points(), kBlockPoints);
 
   RpKernelInput input;
   input.problem = &problem;
@@ -329,7 +312,7 @@ SolveResult PredictiveSolver::solve_predictive(const RpProblem& problem) {
 
   // Forecast quality: how far the predicted access pattern was from the
   // observed one (fallback contributions included).
-  const double forecast_mae = pattern_mae(predicted, kernel1.contributions);
+  const double forecast_mae = ml::mae(predicted.flat(), kernel1.contributions.flat());
   telemetry::gauge_set("predictive.forecast_mae", forecast_mae);
 
   // Remember per-point partitions for the adaptive transform: the

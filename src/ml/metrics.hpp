@@ -1,14 +1,11 @@
 #pragma once
 /// \file metrics.hpp
 /// Regression quality metrics used to evaluate the access-pattern
-/// predictors (MSE, MAE, R²) — reported by the forecast-quality benches.
+/// predictors (MAE, R²) — reported by the forecast-quality benches.
 
 #include <span>
 
 namespace bd::ml {
-
-/// Mean squared error between prediction and truth.
-double mse(std::span<const double> predicted, std::span<const double> truth);
 
 /// Mean absolute error.
 double mae(std::span<const double> predicted, std::span<const double> truth);

@@ -116,9 +116,4 @@ bool OnlinePredictor::ready() const {
   return false;
 }
 
-const char* OnlinePredictor::model_name() const {
-  if (!ready()) return "none";
-  return std::holds_alternative<KNNRegressor>(model_) ? "knn" : "ridge";
-}
-
 }  // namespace bd::ml

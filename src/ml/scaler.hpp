@@ -17,17 +17,11 @@ class StandardScaler {
   /// Fit means/stds from the dataset's features.
   void fit(const Dataset& data);
 
-  /// Fit from raw rows.
-  void fit_rows(std::span<const double> rows, std::size_t dim);
-
   /// Transform one feature vector in place.
   void transform(std::span<double> features) const;
 
   /// Transform into a new vector.
   std::vector<double> transformed(std::span<const double> features) const;
-
-  /// Inverse transform (for reporting).
-  void inverse_transform(std::span<double> features) const;
 
   bool fitted() const { return !means_.empty(); }
   std::span<const double> means() const { return means_; }

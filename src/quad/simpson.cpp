@@ -6,16 +6,6 @@
 
 namespace bd::quad {
 
-double simpson_value(const RadialIntegrand& f, double a, double b,
-                     simt::LaneProbe& probe) {
-  const double m = 0.5 * (a + b);
-  const double value =
-      (b - a) / 6.0 * (f.eval(a, probe) + 4.0 * f.eval(m, probe) +
-                       f.eval(b, probe));
-  probe.count_flops(6);
-  return value;
-}
-
 QuadEstimate simpson_combine(double a, double b, const SimpsonSamples& s,
                              simt::LaneProbe& probe) {
   const double h = b - a;

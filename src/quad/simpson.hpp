@@ -54,10 +54,6 @@ QuadEstimate simpson_estimate_memo(const RadialIntegrand& f, double a,
                                    simt::LaneProbe& probe,
                                    SimpsonSamples& out);
 
-/// Plain (non-extrapolated) 3-point Simpson value over [a, b].
-double simpson_value(const RadialIntegrand& f, double a, double b,
-                     simt::LaneProbe& probe);
-
 /// Shared-sample sweep over a whole partition: produces the same estimate
 /// for every interval [p[i], p[i+1]] as a naive per-interval
 /// `simpson_estimate` loop, but carries f(b_i) into interval i+1, so a

@@ -1,7 +1,5 @@
 #include "simt/metrics.hpp"
 
-#include <sstream>
-
 namespace bd::simt {
 
 double KernelMetrics::warp_execution_efficiency() const {
@@ -48,26 +46,6 @@ KernelMetrics& KernelMetrics::operator+=(const KernelMetrics& other) {
   dram_bytes += other.dram_bytes;
   modeled_seconds += other.modeled_seconds;
   return *this;
-}
-
-std::string KernelMetrics::summary() const {
-  std::ostringstream os;
-  os << "flops:                    " << flops << "\n"
-     << "warp instructions:        " << warp_instructions << "\n"
-     << "warp execution eff:       " << warp_execution_efficiency() * 100.0
-     << " %\n"
-     << "branch divergence rate:   " << branch_divergence_rate() * 100.0
-     << " %\n"
-     << "global load efficiency:   " << global_load_efficiency() * 100.0
-     << " %\n"
-     << "L1 hit rate:              " << l1_hit_rate() * 100.0 << " %\n"
-     << "L2 hit rate:              " << l2_hit_rate() * 100.0 << " %\n"
-     << "DRAM bytes:               " << dram_bytes << "\n"
-     << "arithmetic intensity:     " << arithmetic_intensity()
-     << " flops/byte\n"
-     << "modeled time:             " << modeled_seconds << " s\n"
-     << "GFlop/s:                  " << gflops() << "\n";
-  return os.str();
 }
 
 }  // namespace bd::simt

@@ -5,7 +5,6 @@
 /// L1 hit rate, DRAM traffic, arithmetic intensity and GFlop/s.
 
 #include <cstdint>
-#include <string>
 
 #include "simt/cache.hpp"
 
@@ -60,9 +59,6 @@ struct KernelMetrics {
 
   /// Merge counters from another launch/warp (timings are summed).
   KernelMetrics& operator+=(const KernelMetrics& other);
-
-  /// Multi-line human-readable report.
-  std::string summary() const;
 };
 
 }  // namespace bd::simt

@@ -1,34 +1,18 @@
 #include "util/log.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
 namespace bd::util {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kInfo};
 std::mutex g_sink_mutex;
-
-const char* level_tag(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kInfo: return "INFO ";
-    case LogLevel::kWarn: return "WARN ";
-    case LogLevel::kError: return "ERROR";
-    default: return "?????";
-  }
-}
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level.store(level); }
-
-LogLevel log_level() { return g_level.load(); }
-
 void log_line(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(g_level.load())) return;
+  const char* tag = level == LogLevel::kWarn ? "WARN " : "INFO ";
   std::lock_guard<std::mutex> lock(g_sink_mutex);
-  std::fprintf(stderr, "[%s] %s\n", level_tag(level), message.c_str());
+  std::fprintf(stderr, "[%s] %s\n", tag, message.c_str());
 }
 
 }  // namespace bd::util

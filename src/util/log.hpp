@@ -1,6 +1,6 @@
 #pragma once
 /// \file log.hpp
-/// Minimal leveled logger. Single global sink (stderr) with a runtime level.
+/// Minimal leveled logger. Single global sink (stderr); every line prints.
 /// Thread-safe at the line level (each log call formats then writes once).
 
 #include <sstream>
@@ -8,15 +8,9 @@
 
 namespace bd::util {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
+enum class LogLevel { kInfo, kWarn };
 
-/// Set the global minimum level; messages below it are discarded.
-void set_log_level(LogLevel level);
-
-/// Current global level.
-LogLevel log_level();
-
-/// Write one formatted line to the sink if `level` passes the filter.
+/// Write one formatted line, tagged with `level`, to the sink.
 void log_line(LogLevel level, const std::string& message);
 
 namespace detail {
@@ -38,7 +32,5 @@ class LogStream {
 
 }  // namespace bd::util
 
-#define BD_LOG_DEBUG ::bd::util::detail::LogStream(::bd::util::LogLevel::kDebug)
 #define BD_LOG_INFO ::bd::util::detail::LogStream(::bd::util::LogLevel::kInfo)
 #define BD_LOG_WARN ::bd::util::detail::LogStream(::bd::util::LogLevel::kWarn)
-#define BD_LOG_ERROR ::bd::util::detail::LogStream(::bd::util::LogLevel::kError)

@@ -208,29 +208,12 @@ void BinaryReader::read_f64_into(std::span<double> out) {
   }
 }
 
-std::vector<std::byte> BinaryReader::read_bytes() {
+std::span<const std::byte> BinaryReader::read_bytes() {
   const std::uint64_t n = read_u64();
   BD_CHECK_MSG(n <= remaining(), "truncated payload: byte block of " << n
                                      << " bytes, have " << remaining());
-  const std::byte* p = take(static_cast<std::size_t>(n));
-  return std::vector<std::byte>(p, p + n);
-}
-
-void write_nested_f64(BinaryWriter& out,
-                      const std::vector<std::vector<double>>& values) {
-  out.write_u64(values.size());
-  for (const auto& v : values) out.write_f64_span(v);
-}
-
-std::vector<std::vector<double>> read_nested_f64(BinaryReader& in) {
-  const std::uint64_t n = in.read_u64();
-  BD_CHECK_MSG(n <= in.remaining() / sizeof(std::uint64_t),
-               "truncated payload: " << n << " nested f64 arrays, have "
-                                     << in.remaining() << " bytes");
-  std::vector<std::vector<double>> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(in.read_f64_vector());
-  return out;
+  const auto size = static_cast<std::size_t>(n);
+  return {take(size), size};
 }
 
 // ---------------------------------------------------------------------------

@@ -96,8 +96,10 @@ class BinaryReader {
   /// Read a length-prefixed f64 array into `out`; the stored length must
   /// equal out.size() (in-place restore without reallocation).
   void read_f64_into(std::span<double> out);
-  /// Read a length-prefixed raw byte block.
-  std::vector<std::byte> read_bytes();
+  /// Read a length-prefixed raw byte block. The span points into the
+  /// payload, so it stays valid as long as the payload does, and no
+  /// bytes are copied.
+  std::span<const std::byte> read_bytes();
 
   std::size_t remaining() const { return payload_.size() - offset_; }
   bool done() const { return remaining() == 0; }
@@ -108,13 +110,6 @@ class BinaryReader {
   std::span<const std::byte> payload_;
   std::size_t offset_ = 0;
 };
-
-/// Nested vector-of-vectors of doubles (per-point quadrature partitions).
-/// The reader bounds the stored row count by the bytes left (each row
-/// needs at least its 8-byte length prefix).
-void write_nested_f64(BinaryWriter& out,
-                      const std::vector<std::vector<double>>& values);
-std::vector<std::vector<double>> read_nested_f64(BinaryReader& in);
 
 /// Atomically write a checked file whose payload `encode` writes into the
 /// streaming writer it is given. The bytes go to a unique

@@ -41,12 +41,6 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-std::string format_number(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -62,11 +56,6 @@ std::size_t histogram_bucket_index(double value) {
   if (exp < 1) return 0;
   const auto b = static_cast<std::size_t>(exp);
   return b < kHistogramBuckets ? b : kHistogramBuckets - 1;
-}
-
-double histogram_bucket_lower_bound(std::size_t b) {
-  if (b == 0) return 0.0;
-  return std::ldexp(1.0, static_cast<int>(b) - 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -259,47 +248,6 @@ void MetricsRegistry::reset() {
     std::lock_guard<std::mutex> lk(shard->mu);
     shard->cells.clear();
   }
-}
-
-std::string MetricsRegistry::summary() const {
-  const MetricsSnapshot snap = snapshot();
-  ConsoleTable table({"metric", "kind", "count", "value/sum", "mean", "min",
-                      "max"});
-  for (const auto& [name, value] : snap.counters) {
-    table.cell(name).cell("counter").cell(std::int64_t(value))
-        .cell(std::int64_t(value)).cell("-").cell("-").cell("-");
-    table.end_row();
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    table.cell(name).cell("gauge").cell("-").cell(format_number(value))
-        .cell("-").cell("-").cell("-");
-    table.end_row();
-  }
-  for (const auto& [name, h] : snap.histograms) {
-    table.cell(name).cell("histogram").cell(std::int64_t(h.count))
-        .cell(format_number(h.sum)).cell(format_number(h.mean()))
-        .cell(format_number(h.min)).cell(format_number(h.max));
-    table.end_row();
-  }
-  return table.str();
-}
-
-std::string MetricsRegistry::summary_csv() const {
-  const MetricsSnapshot snap = snapshot();
-  std::ostringstream os;
-  os << "name,kind,count,sum_or_value,mean,min,max\n";
-  for (const auto& [name, value] : snap.counters) {
-    os << name << ",counter," << value << "," << value << ",,,\n";
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    os << name << ",gauge,," << format_number(value) << ",,,\n";
-  }
-  for (const auto& [name, h] : snap.histograms) {
-    os << name << ",histogram," << h.count << "," << format_number(h.sum)
-       << "," << format_number(h.mean()) << "," << format_number(h.min)
-       << "," << format_number(h.max) << "\n";
-  }
-  return os.str();
 }
 
 namespace {
@@ -599,29 +547,6 @@ std::string TraceSession::summary() const {
     table.end_row();
   }
   return table.str();
-}
-
-std::string TraceSession::summary_csv() const {
-  std::vector<Lane*> lanes;
-  {
-    std::lock_guard<std::mutex> lk(impl_->mu);
-    for (const auto& l : impl_->lanes) lanes.push_back(l.get());
-  }
-  std::vector<std::vector<TraceEvent>> per_lane;
-  for (Lane* lane : lanes) {
-    std::lock_guard<std::mutex> lk(lane->mu);
-    per_lane.push_back(lane->events);
-  }
-  std::ostringstream os;
-  os << "name,category,count,total_ms,mean_ms,min_ms,max_ms\n";
-  for (const auto& [name, a] : aggregate_spans(per_lane)) {
-    os << name << "," << a.category << "," << a.count << ","
-       << format_number(a.total_us / 1e3) << ","
-       << format_number(a.total_us / 1e3 / static_cast<double>(a.count))
-       << "," << format_number(a.min_us / 1e3) << ","
-       << format_number(a.max_us / 1e3) << "\n";
-  }
-  return os.str();
 }
 
 void TraceSession::flush() {

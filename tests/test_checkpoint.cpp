@@ -70,13 +70,35 @@ TEST(Serialize, ReadIntoRequiresExactLength) {
   EXPECT_THROW(in.read_f64_into(wrong), bd::CheckError);
 }
 
-TEST(Serialize, NestedF64RoundTrip) {
-  const std::vector<std::vector<double>> partitions{
-      {0.0, 1.0, 2.0}, {}, {5.5}};
+TEST(Serialize, PartitionSetNestedRoundTrip) {
+  // Wire format: u64 entry count, then one length-prefixed f64 span per
+  // entry. An aliased row is written once per entry that binds it.
+  const std::vector<double> a{0.0, 1.0, 2.0};
+  const std::vector<double> empty;
+  const std::vector<double> c{5.5};
+  quad::PartitionSet set;
+  set.reset(4);
+  const std::size_t row_a = set.add_row(a);
+  set.bind(0, row_a);
+  set.bind(1, set.add_row(empty));
+  set.bind(2, set.add_row(c));
+  set.bind(3, row_a);
   util::BinaryWriter out;
-  util::write_nested_f64(out, partitions);
+  quad::write_partition_set_nested(out, set);
+
+  util::BinaryWriter expected;
+  expected.write_u64(4);
+  for (const auto* row : {&a, &empty, &c, &a}) expected.write_f64_span(*row);
+  ASSERT_TRUE(std::ranges::equal(out.payload(), expected.payload()));
+
   util::BinaryReader in(out.payload());
-  EXPECT_EQ(util::read_nested_f64(in), partitions);
+  quad::PartitionSet back;
+  quad::read_partition_set_nested(in, back);
+  EXPECT_TRUE(in.done());
+  ASSERT_EQ(back.entries(), 4u);
+  for (std::size_t e = 0; e < 4; ++e) {
+    EXPECT_TRUE(std::ranges::equal(back.at(e), set.at(e))) << "entry " << e;
+  }
 }
 
 TEST(Serialize, Crc32MatchesKnownVector) {
@@ -119,17 +141,8 @@ TEST(Serialize, F64VectorLengthOverflowThrowsCheckError) {
   EXPECT_THROW(in.read_f64_vector(), bd::CheckError);
 }
 
-TEST(Serialize, NestedF64CountOverflowThrowsCheckError) {
-  // A corrupt row count must be refused before anything is reserved.
-  util::BinaryWriter out;
-  out.write_u64(1ull << 61);
-  out.write_f64_span(std::vector<double>{1.0});
-  util::BinaryReader in(out.payload());
-  EXPECT_THROW(util::read_nested_f64(in), bd::CheckError);
-}
-
 TEST(Serialize, PartitionSetCountOverflowThrowsCheckError) {
-  // The production reader of the same nested wire format.
+  // A corrupt entry count must be refused before anything is sized.
   util::BinaryWriter out;
   out.write_u64(1ull << 61);
   out.write_f64_span(std::vector<double>{1.0});

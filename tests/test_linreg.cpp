@@ -20,9 +20,7 @@ TEST(Ridge, RecoversLinearFunction) {
     d.add(std::vector<double>{x0, x1},
           std::vector<double>{3.0 * x0 - 2.0 * x1 + 1.0});
   }
-  LinRegConfig config;
-  config.poly_degree = 1;
-  RidgeRegressor model(config);
+  RidgeRegressor model;  // the quadratic terms fit to ~0
   model.fit(d);
   for (int q = 0; q < 20; ++q) {
     const double x0 = rng.uniform(-2, 2);
@@ -39,7 +37,7 @@ TEST(Ridge, QuadraticExpansionFitsQuadratic) {
     const double x = rng.uniform(-1, 1);
     d.add(std::vector<double>{x}, std::vector<double>{x * x - 0.5 * x});
   }
-  RidgeRegressor model;  // poly_degree = 2 default
+  RidgeRegressor model;
   model.fit(d);
   for (double x : {-0.7, -0.2, 0.0, 0.4, 0.9}) {
     EXPECT_NEAR(model.predict(std::vector<double>{x})[0], x * x - 0.5 * x,
@@ -47,19 +45,19 @@ TEST(Ridge, QuadraticExpansionFitsQuadratic) {
   }
 }
 
-TEST(Ridge, LinearModelCannotFitQuadratic) {
+TEST(Ridge, QuadraticModelCannotFitCubic) {
   util::Rng rng(13);
   Dataset d(1, 1);
   for (int i = 0; i < 100; ++i) {
     const double x = rng.uniform(-1, 1);
-    d.add(std::vector<double>{x}, std::vector<double>{x * x});
+    d.add(std::vector<double>{x}, std::vector<double>{x * x * x});
   }
-  LinRegConfig config;
-  config.poly_degree = 1;
-  RidgeRegressor model(config);
+  RidgeRegressor model;
   model.fit(d);
-  // Best linear fit of x² on [-1,1] is ~1/3; large pointwise error at 0.
-  EXPECT_GT(std::abs(model.predict(std::vector<double>{0.0})[0]), 0.1);
+  // Best quadratic fit of x³ on [-1,1] is ~0.6·x; large pointwise error
+  // at 0.5 (0.125 against ~0.3).
+  EXPECT_GT(std::abs(model.predict(std::vector<double>{0.5})[0] - 0.125),
+            0.1);
 }
 
 TEST(Ridge, MultiOutput) {
@@ -69,9 +67,7 @@ TEST(Ridge, MultiOutput) {
     const double x = rng.uniform(-1, 1);
     d.add(std::vector<double>{x}, std::vector<double>{x, 2 * x, -x + 1});
   }
-  LinRegConfig config;
-  config.poly_degree = 1;
-  RidgeRegressor model(config);
+  RidgeRegressor model;
   model.fit(d);
   const auto p = model.predict(std::vector<double>{0.5});
   EXPECT_NEAR(p[0], 0.5, 1e-6);
@@ -80,16 +76,14 @@ TEST(Ridge, MultiOutput) {
 }
 
 TEST(Ridge, RegularizationShrinksIllConditionedFit) {
-  // Duplicate (collinear) features: ridge keeps the solution finite.
+  // Duplicate (collinear) features, so the expanded design matrix is rank
+  // deficient: ridge keeps the solution finite.
   Dataset d(2, 1);
   for (int i = 0; i < 20; ++i) {
     const double x = i * 0.1;
     d.add(std::vector<double>{x, x}, std::vector<double>{2 * x});
   }
-  LinRegConfig config;
-  config.poly_degree = 1;
-  config.ridge = 1e-4;
-  RidgeRegressor model(config);
+  RidgeRegressor model;
   EXPECT_NO_THROW(model.fit(d));
   EXPECT_NEAR(model.predict(std::vector<double>{1.0, 1.0})[0], 2.0, 1e-2);
 }

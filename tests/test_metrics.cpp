@@ -84,15 +84,5 @@ TEST(Metrics, MergeSumsAllCounters) {
   EXPECT_DOUBLE_EQ(a.modeled_seconds, 1.0);
 }
 
-TEST(Metrics, SummaryMentionsKeyMetrics) {
-  KernelMetrics m;
-  m.flops = 1234;
-  const std::string s = m.summary();
-  EXPECT_NE(s.find("1234"), std::string::npos);
-  EXPECT_NE(s.find("warp execution eff"), std::string::npos);
-  EXPECT_NE(s.find("L1 hit rate"), std::string::npos);
-  EXPECT_NE(s.find("arithmetic intensity"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace bd::simt

@@ -63,14 +63,6 @@ TEST(Bunch, MomentumSpreadApplied) {
   EXPECT_NEAR(std::sqrt(acc / 20000.0), 0.1, 0.005);
 }
 
-TEST(Bunch, RigidLineBunchIsOnAxis) {
-  util::Rng rng(7);
-  const ParticleSet p = sample_rigid_line_bunch(1000, BeamParams{}, rng);
-  for (double v : p.y()) EXPECT_DOUBLE_EQ(v, 0.0);
-  for (double v : p.ps()) EXPECT_DOUBLE_EQ(v, 0.0);
-  EXPECT_NEAR(p.rms_s(), 1.0, 0.1);
-}
-
 TEST(Bunch, DeterministicForSeed) {
   util::Rng rng1(42), rng2(42);
   const ParticleSet a = sample_gaussian_bunch(100, BeamParams{}, rng1);

@@ -38,17 +38,6 @@ TEST(Scaler, TransformCentersAndScales) {
   EXPECT_NEAR(v[1], 0.0, 1e-12);
 }
 
-TEST(Scaler, InverseRoundTrips) {
-  StandardScaler scaler;
-  scaler.fit(two_column_data());
-  std::vector<double> v{12.5, 0.25};
-  std::vector<double> original = v;
-  scaler.transform(v);
-  scaler.inverse_transform(v);
-  EXPECT_NEAR(v[0], original[0], 1e-12);
-  EXPECT_NEAR(v[1], original[1], 1e-12);
-}
-
 TEST(Scaler, ConstantColumnLeftUnscaled) {
   Dataset d(1, 1);
   d.add(std::vector<double>{5.0}, std::vector<double>{0.0});
@@ -58,19 +47,6 @@ TEST(Scaler, ConstantColumnLeftUnscaled) {
   std::vector<double> v{7.0};
   scaler.transform(v);
   EXPECT_NEAR(v[0], 2.0, 1e-12);  // centered, not divided by ~0
-}
-
-TEST(Scaler, FitRowsMatchesFitDataset) {
-  const Dataset d = two_column_data();
-  StandardScaler s1, s2;
-  s1.fit(d);
-  std::vector<double> rows;
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    rows.insert(rows.end(), d.features(i).begin(), d.features(i).end());
-  }
-  s2.fit_rows(rows, 2);
-  EXPECT_NEAR(s1.means()[0], s2.means()[0], 1e-12);
-  EXPECT_NEAR(s1.stds()[1], s2.stds()[1], 1e-12);
 }
 
 TEST(Scaler, ErrorsOnMisuse) {

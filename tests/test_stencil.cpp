@@ -124,13 +124,6 @@ TEST(Stencil, ClampsTimeNearHistoryEdges) {
               2.2, 1e-10);
 }
 
-TEST(Stencil, SpatialOnlySampleMatchesPlane) {
-  const GridHistory history = linear_history(2.0, 1.0, 1.0, 0.0, 3, 4);
-  simt::NullProbe& probe = simt::NullProbe::instance();
-  const double v = sample_spatial(history, kChannelRho, 3, 0.5, -0.5, probe);
-  EXPECT_NEAR(v, 2.0 + 0.5 - 0.5, 1e-10);
-}
-
 TEST(Stencil, GradientChannelSelected) {
   const GridHistory history = linear_history(1.0, 3.0, 0.0, 0.0, 3, 4);
   simt::NullProbe& probe = simt::NullProbe::instance();

@@ -75,16 +75,20 @@ TEST(Analytic, LongitudinalForceAntisymmetricIsh) {
 }
 
 TEST(Analytic, TransverseFactorClosedForm) {
+  // With a window wide enough to hold both Gaussians, the windowed
+  // quadrature is the full convolution: a Gaussian (or its derivative)
+  // of width sqrt(σ_c² + σ_y²).
   WakeModel model = WakeModel::longitudinal();
   model.coupling_sigma = 0.6;
+  model.inner_halfwidth_sigmas = 20.0;
   BeamParams params;
   params.sigma_y = 0.8;
   const double sigma_t = std::sqrt(0.36 + 0.64);
-  EXPECT_NEAR(analytic_transverse_factor(0.5, model, params),
-              gaussian_pdf(0.5, sigma_t), 1e-14);
+  EXPECT_NEAR(analytic_transverse_factor_windowed(0.5, model, params),
+              gaussian_pdf(0.5, sigma_t), 1e-10);
   model.coupling_derivative = true;
-  EXPECT_NEAR(analytic_transverse_factor(0.5, model, params),
-              gaussian_pdf_prime(0.5, sigma_t), 1e-14);
+  EXPECT_NEAR(analytic_transverse_factor_windowed(0.5, model, params),
+              gaussian_pdf_prime(0.5, sigma_t), 1e-10);
 }
 
 TEST(Wake, IntegrandMatchesContinuumOnNoiselessGrid) {
